@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .checker import explain as explain_point
@@ -36,19 +35,6 @@ OK, FAIL, USAGE = 0, 1, 2
 def _die(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return USAGE
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("AWAREKIT_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"AWAREKIT_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError("AWAREKIT_THREADS must be at least 1")
-    return n
 
 
 def _load_checked_model(path: str):
@@ -109,9 +95,8 @@ def cmd_valid(args) -> int:
         return _die(str(exc))
     props = args.props.split(",") if args.props else sorted(atoms(formula)) or ["p"]
     try:
-        threads = _threads_from_env()
         bounds = Bounds(args.max_worlds, args.max_agents, tuple(props))
-        verdict = decide_bounded(formula, bounds, prune=args.prune, threads=threads)
+        verdict = decide_bounded(formula, bounds, prune=args.prune)
     except ValueError as exc:
         return _die(str(exc))
     if isinstance(verdict, Countermodel):
@@ -345,7 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help; keep the contract
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        return _die("formula is nested too deeply")
 
 
 if __name__ == "__main__":

@@ -568,6 +568,11 @@ def model_to_json(
     return json.dumps(doc, indent=2)
 
 
+def _dot_escape(name: str) -> str:
+    """Escape a name for use inside a double-quoted DOT string."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def model_to_dot(
     m: EpistemicModel,
     world_names: list[str] | None = None,
@@ -577,8 +582,8 @@ def model_to_dot(
     """Render the model as GraphViz DOT: worlds as clusters, present agents
     as nodes, indistinguishability blocks as dashed chains, marked points
     highlighted."""
-    wn = world_names or _default_names("w", m.world_count)
-    an = agent_names or _default_names("a", m.agent_count)
+    wn = [_dot_escape(n) for n in world_names or _default_names("w", m.world_count)]
+    an = [_dot_escape(n) for n in agent_names or _default_names("a", m.agent_count)]
     marked = {(pt.agent, pt.world) for pt in mark}
     lines = ["graph model {", "  node [shape=box];"]
     for w in range(m.world_count):
@@ -589,7 +594,7 @@ def model_to_dot(
             lines.append(f'    "empty@{wn[w]}" [label="(no agents)", shape=plaintext];')
         for a in agents_here:
             props = sorted(p for p in m.valuation if (a, w) in m.valuation[p])
-            label = an[a] if not props else an[a] + r"\n" + ", ".join(props)
+            label = an[a] if not props else an[a] + r"\n" + ", ".join(map(_dot_escape, props))
             style = ' style=filled fillcolor="lightcoral"' if (a, w) in marked else ""
             lines.append(f'    "{an[a]}@{wn[w]}" [label="{label}"{style}];')
         lines.append("  }")

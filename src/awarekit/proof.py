@@ -719,7 +719,8 @@ def default_registry() -> Registry:
             builtin("lemma_A", n),
             {"PHI": _P},
         )
-        reg.register(f"unaware_top_{n}", builtin("unaware_top", n).conclusion, builtin("unaware_top", n))
+        unaware_top = builtin("unaware_top", n)
+        reg.register(f"unaware_top_{n}", unaware_top.conclusion, unaware_top)
     for m, n in ((0, 1), (1, 3)):
         reg.register(
             f"mono_A_{m}_{n}",

@@ -27,7 +27,7 @@ from .model import (
     EpistemicModel,
     Point,
     _iter_skeletons,
-    _iter_skeletons_wa,
+    _iter_skeletons_wa,  # unused here; the benchmark's tracer wraps this name
     _materialize,
     _Skeleton,
     random_model,
@@ -307,74 +307,30 @@ def _scan(
     return checked, None
 
 
-def decide_bounded(
-    f: Formula, bounds: Bounds, prune: bool = False, threads: int = 1
-) -> Verdict:
+def decide_bounded(f: Formula, bounds: Bounds, prune: bool = False) -> Verdict:
     """Scan every model within the bounds for a falsifying point.
 
     Returns the first countermodel in enumeration order, re-verified by the
     reference checker, or ValidUpToBounds carrying the number of models
     scanned.  With prune=True, relabeling-equivalent skeletons are skipped;
     the verdict kind never changes but the witness and the count may.
-    threads > 1 shards the scan by (world count, agent count) while keeping
-    the merged outcome identical to the sequential one.
+    The scan is sequential and stops at the first witness, so the same
+    inputs always give the same verdict.
     """
     missing = atoms(f) - set(bounds.props)
     if missing:
         raise AtomNotInBoundsError(missing)
-    if threads > 1:
-        return _decide_sharded(f, bounds, prune, threads)
     checked, hit = _scan(f, bounds, prune)
     if hit is None:
         return ValidUpToBounds(bounds, checked)
     return Countermodel(*hit)
 
 
-def _decide_sharded(f: Formula, bounds: Bounds, prune: bool, threads: int) -> Verdict:
-    from concurrent.futures import ThreadPoolExecutor
-
-    shards = [
-        Bounds(w, a, bounds.props)
-        for w in range(1, bounds.max_worlds + 1)
-        for a in range(1, bounds.max_agents + 1)
-    ]
-
-    def run(shard: Bounds):
-        checked = 0
-        for sk in _iter_skeletons_wa(shard.max_worlds, shard.max_agents, prune):
-            sweep = _SkeletonSweep(sk, len(shard.props))
-            hit = sweep.first_failure(f, shard.props)
-            if hit is None:
-                checked += sweep.valuation_count
-                continue
-            checked += hit
-            model = sweep.model_at(hit, shard.props)
-            point = ModelEvaluator(model).first_failure(f)
-            return checked, (model, point)
-        return checked, None
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run, shards))
-    total = 0
-    for (w, a), (checked, hit) in zip(
-        ((s.max_worlds, s.max_agents) for s in shards), results
-    ):
-        total += checked
-        if hit is not None:
-            model, point = hit
-            if point is None or satisfies(model, point, f):
-                raise AssertionError(
-                    "search engine and reference checker disagree; please report"
-                )
-            return Countermodel(model, point)
-    return ValidUpToBounds(bounds, total)
-
-
 def find_countermodel(
-    f: Formula, bounds: Bounds, prune: bool = False, threads: int = 1
+    f: Formula, bounds: Bounds, prune: bool = False
 ) -> tuple[EpistemicModel, Point] | None:
     """The Countermodel payload of decide_bounded, or None when valid."""
-    verdict = decide_bounded(f, bounds, prune, threads)
+    verdict = decide_bounded(f, bounds, prune)
     if isinstance(verdict, Countermodel):
         return verdict.model, verdict.point
     return None

@@ -1,10 +1,13 @@
 import json
 
+import pytest
+
 from awarekit.cli import main
 
 from conftest import MUSEUM, PROOFS
 
 MUSEUM_PATH = str(MUSEUM)
+DEEP = "~" * 1000 + "(p -> p)"
 
 
 def run(capsys, *argv):
@@ -142,18 +145,6 @@ class TestValid:
         )
         assert code == 0 and out.startswith("valid up to bounds")
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("AWAREKIT_THREADS", "2")
-        code, out, _ = run(
-            capsys, "valid", "K p -> p", "--max-worlds", "2", "--max-agents", "2"
-        )
-        assert code == 0 and "194 models" in out
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("AWAREKIT_THREADS", "zero")
-        code, _, err = run(capsys, "valid", "K p -> p")
-        assert code == 2 and "AWAREKIT_THREADS" in err
-
 
 class TestProve:
     def test_shipped_proofs(self, capsys):
@@ -257,3 +248,15 @@ class TestUsage:
 
     def test_unknown_command_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("valid", DEEP, "--max-worlds", "1", "--max-agents", "1"),
+            ("check", MUSEUM_PATH, "w1", "a", DEEP),
+        ],
+        ids=["valid", "check"],
+    )
+    def test_deeply_nested_formula_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -227,3 +228,18 @@ class TestDot:
         model, W, A = museum
         dot = model_to_dot(model, list(W), list(A), mark=[Point(0, 0)])
         assert "lightcoral" in dot
+
+    def test_quotes_and_backslashes_in_names_are_escaped(self):
+        m = EpistemicModel(
+            2, 2, {(0, 0), (0, 1), (1, 0)}, (((0, 1),), ((0,),)), {'p"q': {(0, 1)}}
+        )
+        worlds, agents = ['w"1', "w\\2"], ['a"', "b\\"]
+        dot = model_to_dot(m, worlds, agents, mark=[Point(0, 0)])
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        # outside well-formed quoted strings no quote or backslash is left over
+        for line in dot.splitlines():
+            assert '"' not in quoted.sub("", line) and "\\" not in quoted.sub("", line)
+        strings = {re.sub(r"\\(.)", r"\1", q) for q in quoted.findall(dot)}
+        assert {'cluster_w"1', "cluster_w\\2", 'a"@w"1', 'b\\@w"1', 'a"@w\\2'} <= strings
+        # the agent/props line break stays a DOT escape, not an escaped backslash
+        assert r'label="a\"\np\"q"' in dot

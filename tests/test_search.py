@@ -145,15 +145,6 @@ class TestPruning:
         assert pruned.models_checked < full.models_checked
 
 
-class TestSharding:
-    def test_threaded_matches_sequential(self):
-        for text in ("K p -> p", "R p -> K R p"):
-            f = parse(text)
-            seq = decide_bounded(f, B1, threads=1)
-            par = decide_bounded(f, B1, threads=4)
-            assert seq == par
-
-
 class TestChunkedSweep:
     def test_tiny_chunks_change_nothing(self, monkeypatch):
         # force the column engine through its multi-chunk path
