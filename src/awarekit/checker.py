@@ -1,16 +1,25 @@
 """Satisfaction of formulas at (world, agent) points of an epistemic model.
 
-Two engines live here.  ``satisfies`` is the reference recursion, memoized
-per query on (world, agent, subformula identity); ``satisfies_naive`` is
-the same recursion without the cache, kept for oracle testing.
-``ModelEvaluator`` computes the whole extension of a formula bottom-up with
-pair bitmasks and backs ``valid_in_model``/``extension`` so sweeps over
-many points or many formulas stay cheap.
+The semantics is written out twice here.  ``_eval`` is the reference
+recursion: ``satisfies`` memoizes it per query on (world, agent, subformula
+identity), and ``satisfies_naive`` runs it without the cache so the cache
+can be cross-checked.  ``_Frame`` is the column engine, which every fast
+path runs on.  Over the present pairs of a skeleton (a model minus its
+valuation) it evaluates a formula under many valuations at once: each pair
+gets one integer column whose bit v says "true under valuation v".
+``ModelEvaluator`` runs a concrete model as its skeleton under its one
+valuation, so its columns are single bits; the bounded search in
+``awarekit.search`` sweeps every valuation of each skeleton; and
+``is_tautology`` in ``awarekit.syntax`` runs on a one-pair frame whose
+leaves are the variables of the boolean abstraction.
 """
 
 from __future__ import annotations
 
-from .model import AgentNotPresentError, EpistemicModel, Point
+from functools import lru_cache
+from typing import Callable, Iterator
+
+from .model import AgentNotPresentError, EpistemicModel, Point, _Skeleton
 from .syntax import (
     And,
     Atom,
@@ -98,123 +107,230 @@ def satisfies_naive(m: EpistemicModel, pt: Point, f: Formula) -> bool:
     return _eval(m, pt.world, pt.agent, f, None)
 
 
+# ---------- the column engine ----------
+
+_CHUNK_BITS = 16  # at most 2**16 valuations evaluated per pass
+
+
+@lru_cache(maxsize=None)
+def _pattern_column(bit: int, total_bits: int) -> int:
+    """Counting pattern: bit v of the result is (v >> bit) & 1, v < 2**total_bits."""
+    ones = 1 << bit
+    period = ones << 1
+    reps = 1 << (total_bits - bit - 1)
+    unit = (1 << ones) - 1
+    return (unit * (((1 << (period * reps)) - 1) // ((1 << period) - 1))) << ones
+
+
+def _chunks(total_bits: int) -> Iterator[tuple[int, int, list[int]]]:
+    """Split the 2**total_bits valuations into ascending passes of at most
+    2**_CHUNK_BITS.  Yield (start, full, bits) per pass: full has one bit per
+    valuation of the pass, and bit v of bits[t] is bit t of valuation
+    start + v."""
+    width = min(total_bits, _CHUNK_BITS)
+    full = (1 << (1 << width)) - 1
+    low = [_pattern_column(t, width) for t in range(width)]
+    for hi in range(1 << (total_bits - width)):
+        high = [full if hi >> k & 1 else 0 for k in range(total_bits - width)]
+        yield hi << width, full, low + high
+
+
+class _Frame:
+    """The column engine over one skeleton.
+
+    Slot i is the i-th present pair in ascending pair-bit order, which is
+    agent-major (agent, world) order.  A column holds one bit per valuation
+    of the current pass.  Construction precomputes partition blocks, the
+    agents present at each world, and the agents able to witness an R step
+    at each pair, so evaluating many formulas does no repeated structural
+    work.
+    """
+
+    def __init__(self, sk: _Skeleton):
+        W = sk.world_count
+        self.pairs = sk.pair_bits()
+        self.m = len(self.pairs)
+        slot_of = {t: i for i, t in enumerate(self.pairs)}
+        rows = [0] * sk.agent_count
+        agents_at: list[list[int]] = [[] for _ in range(W)]
+        for t in self.pairs:
+            a, w = divmod(t, W)
+            rows[a] |= 1 << w
+            agents_at[w].append(a)
+        # every agent's blocks as (member slots, worlds)
+        self.blocks: list[tuple[list[int], tuple[int, ...]]] = []
+        block_mask_at: dict[tuple[int, int], int] = {}
+        for a, blocks in enumerate(sk.partitions):
+            for blk in blocks:
+                wm = 0
+                for u in blk:
+                    wm |= 1 << u
+                for u in blk:
+                    block_mask_at[(a, u)] = wm
+                self.blocks.append(([slot_of[a * W + u] for u in blk], blk))
+        # R witnesses per slot: the agents b at its world covering its block
+        self.witness_slots: list[list[int]] = []
+        for t in self.pairs:
+            a, w = divmod(t, W)
+            blk = block_mask_at[(a, w)]
+            self.witness_slots.append(
+                [slot_of[b * W + w] for b in agents_at[w] if blk & ~rows[b] == 0]
+            )
+        self.world_slots = [[slot_of[b * W + u] for b in agents_at[u]] for u in range(W)]
+
+    def columns(
+        self, f: Formula, atoms: dict[str, list[int]], full: int, memo: dict[int, list[int]]
+    ) -> list[int]:
+        """Column per slot: bit v set iff f holds at the slot's pair under
+        valuation v of the pass whose valuations are the bits of full.
+
+        atoms gives each proposition's column per slot; one it lacks is
+        false everywhere.  memo maps node ids to columns already known, so
+        a node seeded there is a leaf whatever its kind.
+        """
+        zero = [0] * self.m
+
+        def ev(node: Formula) -> list[int]:
+            got = memo.get(id(node))
+            if got is not None:
+                return got
+            if isinstance(node, Atom):
+                out = atoms.get(node.name, zero)
+            elif isinstance(node, Falsum):
+                out = zero
+            elif isinstance(node, Not):
+                out = [full ^ c for c in ev(node.child)]
+            elif isinstance(node, Implies):
+                left, right = ev(node.left), ev(node.right)
+                out = [(full ^ l) | r for l, r in zip(left, right)]
+            elif isinstance(node, And):
+                left, right = ev(node.left), ev(node.right)
+                out = [l & r for l, r in zip(left, right)]
+            elif isinstance(node, Or):
+                left, right = ev(node.left), ev(node.right)
+                out = [l | r for l, r in zip(left, right)]
+            elif isinstance(node, Know):
+                child = ev(node.child)
+                out = [0] * self.m
+                for slots, _ in self.blocks:
+                    acc = full
+                    for s in slots:
+                        acc &= child[s]
+                    for s in slots:
+                        out[s] = acc
+            elif isinstance(node, DeRe):
+                child = ev(node.child)
+                out = []
+                for cands in self.witness_slots:
+                    acc = 0
+                    for s in cands:
+                        acc |= child[s]
+                    out.append(acc)
+            elif isinstance(node, DeDicto):
+                child = ev(node.child)
+                inhabited = []
+                for slots in self.world_slots:
+                    acc = 0
+                    for s in slots:
+                        acc |= child[s]
+                    inhabited.append(acc)
+                out = [0] * self.m
+                for slots, worlds in self.blocks:
+                    acc = full
+                    for u in worlds:
+                        acc &= inhabited[u]
+                    for s in slots:
+                        out[s] = acc
+            elif isinstance(node, MetaVar):
+                raise ValueError(f"cannot evaluate a schema; metavariable {node.name} is unbound")
+            else:
+                raise TypeError(f"not a formula node: {node!r}")
+            memo[id(node)] = out
+            return out
+
+        return ev(f)
+
+    def first_failure(
+        self,
+        f: Formula,
+        total_bits: int,
+        leaves: Callable[[list[int]], tuple[dict[str, list[int]], dict[int, list[int]]]],
+    ) -> tuple[int, int] | None:
+        """Lowest valuation index below 2**total_bits at which f fails at
+        some slot, and the lowest such slot; None when f never fails.
+
+        leaves(bits) turns one pass's valuation-bit columns (see _chunks)
+        into the atoms and the seeded memo that columns takes.
+        """
+        for start, full, bits in _chunks(total_bits):
+            atoms, memo = leaves(bits)
+            result = self.columns(f, atoms, full, memo)
+            ok = full
+            for c in result:
+                ok &= c
+            failing = full ^ ok
+            if failing:
+                v = (failing & -failing).bit_length() - 1
+                slot = next(i for i, c in enumerate(result) if not c >> v & 1)
+                return start + v, slot
+        return None
+
+
 class ModelEvaluator:
     """Batch evaluation over one model: extensions as pair bitmasks.
 
-    Pair (agent a, world w) is bit a * world_count + w.  Constructing the
-    evaluator precomputes presence rows, partition blocks, and the agents
-    able to witness an R step at each point, so evaluating many formulas
-    against the same model does no repeated structural work.
+    Pair (agent a, world w) is bit a * world_count + w.  The model runs on
+    the column engine as its skeleton under its one valuation, so every
+    column is a single bit.  Constructing the evaluator builds that frame
+    once, so evaluating many formulas against the same model does no
+    repeated structural work.  A model that breaks the laws checked by
+    EpistemicModel.validate() raises ValueError naming the violations.
     """
 
     def __init__(self, m: EpistemicModel):
+        violations = m.validate()
+        if violations:
+            raise ValueError(
+                "model violates the model laws: " + "; ".join(str(v) for v in violations)
+            )
         self.model = m
         W = m.world_count
-        self._W = W
         self.present_mask = 0
         for a, w in m.presence:
             self.present_mask |= 1 << (a * W + w)
-        self._rows = [0] * m.agent_count
-        for a, w in m.presence:
-            self._rows[a] |= 1 << w
-        self._agents_at = m._agents_at
-        # per agent: list of (block worlds, pair mask of the block)
-        self._blocks: list[list[tuple[tuple[int, ...], int]]] = []
-        for a in range(m.agent_count):
-            entries = []
-            for blk in m.indist[a] if a < len(m.indist) else ():
-                pm = 0
-                wm = 0
-                for u in blk:
-                    pm |= 1 << (a * W + u)
-                    wm |= 1 << u
-                entries.append((blk, pm, wm))
-            self._blocks.append(entries)
-        # R witnesses: for present (a, w), the agents b at w whose presence
-        # covers a's block at w (a static fact about the skeleton)
-        self._witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-        for a, w in m.presence:
-            blk_mask = 0
-            for u in m._block_lookup.get((a, w), ()):
-                blk_mask |= 1 << u
-            self._witnesses[(a, w)] = tuple(
-                b for b in self._agents_at[w] if blk_mask & ~self._rows[b] == 0
-            )
+        self._frame = _Frame(_Skeleton(W, m.agent_count, self.present_mask, m.indist))
+        self._atoms = {
+            p: [int(divmod(t, W) in pairs) for t in self._frame.pairs]
+            for p, pairs in m.valuation.items()
+        }
 
-    def extension_mask(self, f: Formula, _memo: dict | None = None) -> int:
-        memo = {} if _memo is None else _memo
-        key = id(f)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        m, W = self.model, self._W
-        if isinstance(f, Atom):
-            out = 0
-            for a, w in m.valuation.get(f.name, frozenset()):
-                out |= 1 << (a * W + w)
-            out &= self.present_mask
-        elif isinstance(f, Falsum):
-            out = 0
-        elif isinstance(f, Not):
-            out = self.present_mask & ~self.extension_mask(f.child, memo)
-        elif isinstance(f, Implies):
-            out = self.present_mask & (
-                ~self.extension_mask(f.left, memo) | self.extension_mask(f.right, memo)
-            )
-        elif isinstance(f, And):
-            out = self.extension_mask(f.left, memo) & self.extension_mask(f.right, memo)
-        elif isinstance(f, Or):
-            out = self.extension_mask(f.left, memo) | self.extension_mask(f.right, memo)
-        elif isinstance(f, Know):
-            child = self.extension_mask(f.child, memo)
-            out = 0
-            for a in range(m.agent_count):
-                for _, pm, _ in self._blocks[a]:
-                    if child & pm == pm:
-                        out |= pm
-        elif isinstance(f, DeRe):
-            child = self.extension_mask(f.child, memo)
-            out = 0
-            for (a, w), cands in self._witnesses.items():
-                if any(child >> (b * W + w) & 1 for b in cands):
-                    out |= 1 << (a * W + w)
-        elif isinstance(f, DeDicto):
-            child = self.extension_mask(f.child, memo)
-            inhabited = 0
-            for u in range(m.world_count):
-                if any(child >> (b * W + u) & 1 for b in self._agents_at[u]):
-                    inhabited |= 1 << u
-            out = 0
-            for a in range(m.agent_count):
-                for _, pm, wm in self._blocks[a]:
-                    if wm & ~inhabited == 0:
-                        out |= pm
-        elif isinstance(f, MetaVar):
-            raise ValueError(f"cannot evaluate a schema; metavariable {f.name} is unbound")
-        else:
-            raise TypeError(f"not a formula node: {f!r}")
-        memo[key] = out
+    def _columns(self, f: Formula) -> list[int]:
+        return self._frame.columns(f, self._atoms, 1, {})
+
+    def extension_mask(self, f: Formula) -> int:
+        out = 0
+        for t, c in zip(self._frame.pairs, self._columns(f)):
+            out |= c << t
         return out
 
     def holds_everywhere(self, f: Formula) -> bool:
-        return self.extension_mask(f) & self.present_mask == self.present_mask
+        return all(self._columns(f))
 
     def extension(self, f: Formula) -> set[Point]:
-        mask = self.extension_mask(f)
-        W = self._W
+        W = self.model.world_count
         return {
             Point(t % W, t // W)
-            for t in range(self.model.agent_count * W)
-            if mask >> t & 1
+            for t, c in zip(self._frame.pairs, self._columns(f))
+            if c
         }
 
     def first_failure(self, f: Formula) -> Point | None:
         """Lowest present pair (agent-major order) where f fails, if any."""
-        failing = self.present_mask & ~self.extension_mask(f)
-        if failing == 0:
-            return None
-        t = (failing & -failing).bit_length() - 1
-        return Point(t % self._W, t // self._W)
+        W = self.model.world_count
+        for t, c in zip(self._frame.pairs, self._columns(f)):
+            if not c:
+                return Point(t % W, t // W)
+        return None
 
 
 def valid_in_model(m: EpistemicModel, f: Formula) -> bool:
@@ -242,9 +358,10 @@ def explain(
     wn = world_names or [f"w{i}" for i in range(m.world_count)]
     an = agent_names or [f"a{i}" for i in range(m.agent_count)]
     out: list[str] = []
+    memo: dict = {}
 
     def ev(w: int, a: int, g: Formula) -> bool:
-        return _eval(m, w, a, g, {})
+        return _eval(m, w, a, g, memo)
 
     def rec(w: int, a: int, g: Formula, depth: int):
         value = ev(w, a, g)

@@ -6,22 +6,23 @@ randomized soundness fuzzing.
 (model, point) or an explicit valid-up-to-bounds verdict.  Validity up to a
 bound is all it ever claims; no finite sweep can promise more.
 
-Internally the sweep groups models by skeleton (counts, presence,
-partitions) and evaluates all valuations of a skeleton at once: each
-subformula's truth at a pair becomes one big integer whose bit v says
-"true under valuation v", so the per-valuation work collapses into wide
-bitwise operations.  Every returned witness is re-verified against the
-reference checker before it leaves this module.
+Internally the scan groups models by skeleton (counts, presence,
+partitions) and sweeps all valuations of a skeleton at once on the column
+engine of ``awarekit.checker``: each subformula's truth at a pair becomes
+one big integer whose bit v says "true under valuation v", so the
+per-valuation work collapses into wide bitwise operations.  The witness
+point is the lowest pair, in agent-major order, failing under the first
+failing valuation, and it is re-verified against the reference checker
+before it leaves this module.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .checker import ModelEvaluator, satisfies
+from .checker import ModelEvaluator, _Frame, satisfies
 from .model import (
     Bounds,
     EpistemicModel,
@@ -29,7 +30,7 @@ from .model import (
     _iter_skeletons,
     _iter_skeletons_wa,  # unused here; the benchmark's tracer wraps this name
     _materialize,
-    _Skeleton,
+    _scatter,
     random_model,
 )
 from .proof import AXIOM_SCHEMAS, NON_TAUT_AXIOMS
@@ -42,7 +43,6 @@ from .syntax import (
     Formula,
     Implies,
     Know,
-    MetaVar,
     Not,
     Or,
     atoms,
@@ -91,215 +91,34 @@ class AtomNotInBoundsError(ValueError):
         )
 
 
-# ---------- the valuation-column engine ----------
-
-_CHUNK_BITS = 16  # at most 2**16 valuations evaluated per pass
-
-
-@lru_cache(maxsize=None)
-def _pattern_column(bit: int, total_bits: int) -> int:
-    """Counting pattern: bit v of the result is (v >> bit) & 1, v < 2**total_bits."""
-    ones = 1 << bit
-    period = ones << 1
-    reps = 1 << (total_bits - bit - 1)
-    unit = (1 << ones) - 1
-    return (unit * (((1 << (period * reps)) - 1) // ((1 << period) - 1))) << ones
-
-
-class _SkeletonSweep:
-    """Evaluates formulas over every valuation of one skeleton at once."""
-
-    def __init__(self, sk: _Skeleton, nprops: int):
-        self.sk = sk
-        W = sk.world_count
-        self.pair_bits = sk.pair_bits()  # ascending = agent-major pair order
-        self.m = len(self.pair_bits)
-        self.nprops = nprops
-        self.total_bits = nprops * self.m
-        self.slot_of = {t: i for i, t in enumerate(self.pair_bits)}
-        rows = [0] * sk.agent_count
-        for t in self.pair_bits:
-            a, w = divmod(t, W)
-            rows[a] |= 1 << w
-        agents_at: list[list[int]] = [[] for _ in range(W)]
-        for t in self.pair_bits:
-            a, w = divmod(t, W)
-            agents_at[w].append(a)
-        self.agents_at = agents_at
-        # per agent: blocks as (member slot list, world mask)
-        self.blocks: list[list[tuple[list[int], int]]] = []
-        block_mask_at: dict[tuple[int, int], int] = {}
-        for a, blocks in enumerate(sk.partitions):
-            entries = []
-            for blk in blocks:
-                slots = [self.slot_of[a * W + u] for u in blk]
-                wm = 0
-                for u in blk:
-                    wm |= 1 << u
-                for u in blk:
-                    block_mask_at[(a, u)] = wm
-                entries.append((slots, wm))
-            self.blocks.append(entries)
-        # R witnesses per present (a, w): agents b at w covering a's block
-        self.witness_slots: list[tuple[int, list[int]]] = []
-        for t in self.pair_bits:
-            a, w = divmod(t, W)
-            blk = block_mask_at[(a, w)]
-            cands = [
-                self.slot_of[b * W + w]
-                for b in agents_at[w]
-                if blk & ~rows[b] == 0
-            ]
-            self.witness_slots.append((self.slot_of[t], cands))
-        self.world_slots = [
-            [self.slot_of[b * W + u] for b in agents_at[u]] for u in range(W)
-        ]
-
-    def chunks(self) -> Iterator[tuple[int, int, list[list[int]]]]:
-        """Yield (start, width, leaf columns per prop per slot) for each chunk
-        of the valuation space, ascending."""
-        total = self.total_bits
-        width = min(total, _CHUNK_BITS)
-        n_chunks = 1 << (total - width) if total else 1
-        full = (1 << (1 << width)) - 1
-        for hi in range(n_chunks):
-            cols: list[list[int]] = []
-            for j in range(self.nprops):
-                prop_cols = []
-                for i in range(self.m):
-                    t = (self.nprops - 1 - j) * self.m + i
-                    if t < width:
-                        prop_cols.append(_pattern_column(t, width))
-                    else:
-                        prop_cols.append(full if hi >> (t - width) & 1 else 0)
-                cols.append(prop_cols)
-            yield hi << width, width, cols
-
-    def eval_chunk(
-        self, f: Formula, prop_index: dict[str, int], cols: list[list[int]], width: int
-    ) -> list[int]:
-        """Column per pair slot: bit v set iff f holds at that pair under
-        valuation (chunk start + v)."""
-        full = (1 << (1 << width)) - 1
-        zero = [0] * self.m
-        memo: dict[int, list[int]] = {}
-
-        def ev(node: Formula) -> list[int]:
-            got = memo.get(id(node))
-            if got is not None:
-                return got
-            if isinstance(node, Atom):
-                out = cols[prop_index[node.name]]
-            elif isinstance(node, Falsum):
-                out = zero
-            elif isinstance(node, Not):
-                out = [full ^ c for c in ev(node.child)]
-            elif isinstance(node, Implies):
-                left, right = ev(node.left), ev(node.right)
-                out = [(full ^ l) | r for l, r in zip(left, right)]
-            elif isinstance(node, And):
-                left, right = ev(node.left), ev(node.right)
-                out = [l & r for l, r in zip(left, right)]
-            elif isinstance(node, Or):
-                left, right = ev(node.left), ev(node.right)
-                out = [l | r for l, r in zip(left, right)]
-            elif isinstance(node, Know):
-                child = ev(node.child)
-                out = [0] * self.m
-                for entries in self.blocks:
-                    for slots, _ in entries:
-                        acc = full
-                        for s in slots:
-                            acc &= child[s]
-                        for s in slots:
-                            out[s] = acc
-            elif isinstance(node, DeRe):
-                child = ev(node.child)
-                out = [0] * self.m
-                for slot, cands in self.witness_slots:
-                    acc = 0
-                    for s in cands:
-                        acc |= child[s]
-                    out[slot] = acc
-            elif isinstance(node, DeDicto):
-                child = ev(node.child)
-                inhabited = []
-                for slots in self.world_slots:
-                    acc = 0
-                    for s in slots:
-                        acc |= child[s]
-                    inhabited.append(acc)
-                out = [0] * self.m
-                for entries in self.blocks:
-                    for slots, wm in entries:
-                        acc = full
-                        u = 0
-                        rest = wm
-                        while rest:
-                            if rest & 1:
-                                acc &= inhabited[u]
-                            rest >>= 1
-                            u += 1
-                        for s in slots:
-                            out[s] = acc
-            elif isinstance(node, MetaVar):
-                raise ValueError(f"cannot search a schema; metavariable {node.name} is unbound")
-            else:
-                raise TypeError(f"not a formula node: {node!r}")
-            memo[id(node)] = out
-            return out
-
-        return ev(f)
-
-    def first_failure(self, f: Formula, props: Sequence[str]) -> int | None:
-        """Lowest valuation index at which f fails somewhere, else None."""
-        prop_index = {p: j for j, p in enumerate(props)}
-        for start, width, cols in self.chunks():
-            full = (1 << (1 << width)) - 1
-            result = self.eval_chunk(f, prop_index, cols, width)
-            ok = full
-            for c in result:
-                ok &= c
-            failing = full ^ ok
-            if failing:
-                return start + ((failing & -failing).bit_length() - 1)
-        return None
-
-    def model_at(self, valuation_index: int, props: Sequence[str]) -> EpistemicModel:
-        masks = []
-        for j in range(self.nprops):
-            compact = (valuation_index >> ((self.nprops - 1 - j) * self.m)) & (
-                (1 << self.m) - 1
-            )
-            mask = 0
-            for i, t in enumerate(self.pair_bits):
-                if compact >> i & 1:
-                    mask |= 1 << t
-            masks.append(mask)
-        return _materialize(self.sk, tuple(masks), tuple(props))
-
-    @property
-    def valuation_count(self) -> int:
-        return 1 << self.total_bits
-
-
 # ---------- bounded decisions ----------
 
 
 def _scan(
     f: Formula, bounds: Bounds, prune: bool
 ) -> tuple[int, tuple[EpistemicModel, Point] | None]:
+    props = bounds.props
     checked = 0
     for sk in _iter_skeletons(bounds, prune):
-        sweep = _SkeletonSweep(sk, len(bounds.props))
-        hit = sweep.first_failure(f, bounds.props)
+        frame = _Frame(sk)
+        m = frame.m
+        total = len(props) * m
+        # the first proposition is most significant: valuation bit
+        # total - (j + 1) * m + i is proposition j at slot i
+        lows = [(p, total - (j + 1) * m) for j, p in enumerate(props)]
+        hit = frame.first_failure(
+            f, total, lambda bits: ({p: bits[lo : lo + m] for p, lo in lows}, {})
+        )
         if hit is None:
-            checked += sweep.valuation_count
+            checked += 1 << total
             continue
-        checked += hit
-        model = sweep.model_at(hit, bounds.props)
-        point = ModelEvaluator(model).first_failure(f)
-        if point is None or satisfies(model, point, f):
+        index, slot = hit
+        checked += index
+        masks = tuple(_scatter(index >> lo & ((1 << m) - 1), frame.pairs) for _, lo in lows)
+        model = _materialize(sk, masks, props)
+        a, w = divmod(frame.pairs[slot], sk.world_count)
+        point = Point(w, a)
+        if satisfies(model, point, f):
             raise AssertionError(
                 "search engine and reference checker disagree; please report"
             )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 __all__ = [
     "Formula",
@@ -416,12 +417,27 @@ def subformula_closure(f: Formula) -> set[Formula]:
     return out
 
 
+def _nodes(f: Formula, opaque: tuple[type, ...] = ()) -> Iterator[Formula]:
+    """Each node object of f once, by identity, never hashing a node, so
+    deep trees are safe; nodes of the opaque types are not descended into."""
+    seen: set[int] = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        if not isinstance(node, opaque):
+            stack.extend(children(node))
+
+
 def atoms(f: Formula) -> set[str]:
-    return {n.name for n in subformula_closure(f) if isinstance(n, Atom)}
+    return {n.name for n in _nodes(f) if isinstance(n, Atom)}
 
 
 def metavariables(f: Formula) -> set[str]:
-    return {n.name for n in subformula_closure(f) if isinstance(n, MetaVar)}
+    return {n.name for n in _nodes(f) if isinstance(n, MetaVar)}
 
 
 def modal_depth(f: Formula) -> int:
@@ -432,45 +448,36 @@ def modal_depth(f: Formula) -> int:
 
 
 MAX_TAUTOLOGY_VARIABLES = 20
+_UNITS = (Know, DeRe, DeDicto, Atom, MetaVar)
 
 
 def is_tautology(f: Formula) -> bool:
     """Truth-table tautology check over the boolean abstraction of f.
 
     Each maximal subformula headed by K, R, or D, and each atom (or
-    metavariable), counts as one independent boolean variable; false is the
-    constant falsehood.  At most 20 abstraction variables are allowed.
+    metavariable), counts as one independent boolean variable; equal
+    subformulas share one.  false is the constant falsehood.  At most 20
+    abstraction variables are allowed.  The check runs on the column engine
+    over a one-pair frame, each variable's column seeded as a leaf, so the
+    engine never descends into a variable.
     """
+    # imported here because the checker imports this module
+    from .checker import _Frame
+    from .model import _Skeleton
+
     units: dict[Formula, int] = {}
-
-    def scan(n: Formula):
-        if isinstance(n, (Know, DeRe, DeDicto, Atom, MetaVar)):
-            units.setdefault(n, len(units))
-            return
-        for k in children(n):
-            scan(k)
-
-    scan(f)
+    unit_of: dict[int, int] = {}  # node id -> variable
+    for n in _nodes(f, _UNITS):
+        if isinstance(n, _UNITS):
+            unit_of[id(n)] = units.setdefault(n, len(units))
     if len(units) > MAX_TAUTOLOGY_VARIABLES:
         raise ValueError(
             f"boolean abstraction has {len(units)} variables; "
             f"at most {MAX_TAUTOLOGY_VARIABLES} are supported"
         )
 
-    def ev(n: Formula, bits: int) -> bool:
-        idx = units.get(n)
-        if idx is not None:
-            return bool(bits >> idx & 1)
-        if isinstance(n, Falsum):
-            return False
-        if isinstance(n, Not):
-            return not ev(n.child, bits)
-        if isinstance(n, Implies):
-            return (not ev(n.left, bits)) or ev(n.right, bits)
-        if isinstance(n, And):
-            return ev(n.left, bits) and ev(n.right, bits)
-        if isinstance(n, Or):
-            return ev(n.left, bits) or ev(n.right, bits)
-        raise TypeError(f"not a formula node: {n!r}")
+    def leaves(bits: list[int]):
+        return {}, {k: [bits[j]] for k, j in unit_of.items()}
 
-    return all(ev(f, bits) for bits in range(1 << len(units)))
+    one_pair = _Frame(_Skeleton(1, 1, 1, (((0,),),)))
+    return one_pair.first_failure(f, len(units), leaves) is None

@@ -66,6 +66,18 @@ class TestValidInModel:
         m = EpistemicModel(1, 1, set(), ((),), {})
         assert valid_in_model(m, parse("false"))
 
+    @pytest.mark.parametrize(
+        "presence,indist",
+        [
+            ({(0, 0)}, (((0, 1),),)),  # a block holds a world the agent is absent from
+            ({(0, 0), (0, 1)}, (((0,),),)),  # a present world is in no block
+        ],
+    )
+    def test_model_breaking_the_laws_is_rejected(self, presence, indist):
+        m = EpistemicModel(2, 1, presence, indist, {"p": {(0, 0)}})
+        with pytest.raises(ValueError, match="partition-"):
+            valid_in_model(m, parse("K p"))
+
 
 class TestExtension:
     def test_museum_weride(self, museum):
@@ -95,6 +107,19 @@ class TestExtension:
     @given(small_models(), formulas(max_depth=3))
     def test_matches_pointwise_reference(self, m, f):
         assert extension(m, f) == {pt for pt in m.points() if satisfies(m, pt, f)}
+
+
+class TestAbsentProposition:
+    def test_false_everywhere(self, museum):
+        # the formula names a proposition the model's valuation lacks
+        model, _, _ = museum
+        ghost = parse("ghost")
+        assert "ghost" not in model.valuation
+        assert ModelEvaluator(model).first_failure(ghost) == next(model.points())
+        assert extension(model, ghost) == set()
+        assert not valid_in_model(model, ghost)
+        assert valid_in_model(model, Not(ghost))
+        assert not any(satisfies(model, pt, ghost) for pt in model.points())
 
 
 class TestMemoizationTransparency:

@@ -98,6 +98,13 @@ class TestDecideBounded:
         assert v.model.valuation["p"] == {(0, 0)}
         assert (v.point.world, v.point.agent) == (0, 0)
 
+    @pytest.mark.parametrize("depth", [600, 900])
+    def test_deeply_nested_negation(self, depth):
+        # an even number of negations over p: falsified where p is false
+        v = decide_bounded(parse("~" * depth + "p"), Bounds(1, 1, ("p",)))
+        assert isinstance(v, Countermodel)
+        assert v.model.valuation["p"] == frozenset()
+
     def test_runs_twice_identically(self):
         f = parse("D p -> R p")
         a = decide_bounded(f, Bounds(3, 3, ("p",)))
@@ -148,12 +155,14 @@ class TestPruning:
 class TestChunkedSweep:
     def test_tiny_chunks_change_nothing(self, monkeypatch):
         # force the column engine through its multi-chunk path
-        import awarekit.search as search_mod
+        import awarekit.checker as engine
 
         wide = Bounds(2, 2, ("p", "q"))
         texts = ["K p -> p", "R p -> K R q", "D p -> R p", "p -> q", "K (p -> q) -> (K p -> K q)"]
         baseline = [decide_bounded(parse(t), wide) for t in texts]
-        monkeypatch.setattr(search_mod, "_CHUNK_BITS", 3)
+        monkeypatch.setattr(engine, "_CHUNK_BITS", 3)
+        # a full (2,2,{p,q}) skeleton has 4 pairs x 2 props = 8 valuation bits
+        assert len(list(engine._chunks(8))) > 1
         chunked = [decide_bounded(parse(t), wide) for t in texts]
         assert chunked == baseline
 

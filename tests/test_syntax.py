@@ -20,6 +20,7 @@ from awarekit.syntax import (
     instantiate,
     is_tautology,
     match_schema,
+    metavariables,
     modal_depth,
     parse,
     render,
@@ -218,6 +219,22 @@ class TestTautology:
         with pytest.raises(ValueError):
             is_tautology(big)
 
+    def test_exactly_twenty_variables(self):
+        # more variables than one pass of the column engine holds, so the
+        # check runs in several passes
+        from awarekit.checker import _CHUNK_BITS
+
+        conj = " & ".join(["K p", "R p", "D p"] + [f"x{i}" for i in range(17)])
+        assert 20 > _CHUNK_BITS
+        assert is_tautology(parse(f"{conj} -> x16"))
+        # false only when every variable is true: the last valuation of all
+        assert not is_tautology(parse(f"~({conj})"))
+
+    @pytest.mark.parametrize("depth", [600, 900])
+    def test_deeply_nested_negation(self, depth):
+        assert not is_tautology(parse("~" * depth + "p"))
+        assert is_tautology(parse("~" * depth + "p | ~p"))
+
     @settings(max_examples=300, deadline=None)
     @given(formulas(max_depth=4))
     def test_agrees_with_truth_table_oracle(self, f):
@@ -243,3 +260,8 @@ class TestClosure:
 
     def test_atoms(self):
         assert atoms(parse("K p -> q & p")) == {"p", "q"}
+
+    def test_atoms_and_metavariables_of_deep_formulas(self):
+        deep = parse("~" * 900 + "(p -> PHI)")
+        assert atoms(deep) == {"p"}
+        assert metavariables(deep) == {"PHI"}
