@@ -72,20 +72,31 @@ def _eval(m: EpistemicModel, w: int, a: int, f: Formula, memo: dict | None) -> b
         value = _eval(m, w, a, f.left, memo) and _eval(m, w, a, f.right, memo)
     elif isinstance(f, Or):
         value = _eval(m, w, a, f.left, memo) or _eval(m, w, a, f.right, memo)
+    # K, R and D loop in place of all()/any() over generators, which would
+    # cost extra frames per level and cut the depth a formula may reach
     elif isinstance(f, Know):
-        value = all(_eval(m, u, a, f.child, memo) for u in m.block(a, w))
+        value = True
+        for u in m.block(a, w):
+            if not _eval(m, u, a, f.child, memo):
+                value = False
+                break
     elif isinstance(f, DeRe):
         blk = m.block(a, w)
         row = m._rows
-        value = any(
-            all(u in row[b] for u in blk) and _eval(m, w, b, f.child, memo)
-            for b in m._agents_at[w]
-        )
+        value = False
+        for b in m._agents_at[w]:
+            if all(u in row[b] for u in blk) and _eval(m, w, b, f.child, memo):
+                value = True
+                break
     elif isinstance(f, DeDicto):
-        value = all(
-            any(_eval(m, u, b, f.child, memo) for b in m._agents_at[u])
-            for u in m.block(a, w)
-        )
+        value = True
+        for u in m.block(a, w):
+            for b in m._agents_at[u]:
+                if _eval(m, u, b, f.child, memo):
+                    break
+            else:
+                value = False
+                break
     elif isinstance(f, MetaVar):
         raise ValueError(f"cannot evaluate a schema; metavariable {f.name} is unbound")
     else:

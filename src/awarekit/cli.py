@@ -27,7 +27,7 @@ from .model import (
 )
 from .proof import ProofError, ProofFileError, default_registry, check as check_proof, parse_proof
 from .search import Countermodel, decide_bounded, fuzz_soundness
-from .syntax import ParseError, atoms, awareness_tower, parse, render
+from .syntax import ParseError, atoms, awareness_tower, metavariables, parse, render
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -61,6 +61,9 @@ def cmd_check(args) -> int:
         return _die(f"unknown world name {args.world!r}")
     if args.agent not in agent_names:
         return _die(f"unknown agent name {args.agent!r}")
+    schema_vars = metavariables(formula)
+    if schema_vars:
+        return _die(f"cannot evaluate a schema; metavariable {min(schema_vars)} is unbound")
     point = Point(world_names.index(args.world), agent_names.index(args.agent))
     try:
         holds = satisfies(model, point, formula)
@@ -287,7 +290,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--max-agents", type=int, default=3)
     p.add_argument("--props", help="comma-separated propositions (default: formula atoms)")
-    p.add_argument("--prune", action="store_true", help="skip relabeling-equivalent skeletons")
+    p.add_argument(
+        "--prune",
+        action="store_true",
+        help="skip skeletons that are relabelings (of worlds or agents) of an earlier one",
+    )
     p.add_argument("--dot", metavar="PATH", help="write countermodel DOT here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_valid)

@@ -366,41 +366,72 @@ def _set_partitions(elems: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _permutation_pairs(worlds: int, agents: int):
+def _world_relabelings(worlds: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(perm, table) for every non-identity permutation of the worlds, where
+    table[r] is the row bitmask r with each world w moved to perm[w]."""
+    identity = tuple(range(worlds))
     return tuple(
-        itertools.product(
-            itertools.permutations(range(agents)), itertools.permutations(range(worlds))
-        )
+        (perm, tuple(sum(1 << perm[w] for w in identity if r >> w & 1) for r in range(1 << worlds)))
+        for perm in itertools.permutations(identity)
+        if perm != identity
     )
 
 
-def _skeleton_key(sk: _Skeleton):
-    return (sk.presence_mask, sk.partitions)
+def _canonical_skeletons(worlds: int, agents: int) -> Iterator[_Skeleton]:
+    """The skeletons whose key (presence_mask, partitions) is the least in its
+    orbit under relabeling worlds and agents, in enumeration order.
 
-
-def _permuted_skeleton(sk: _Skeleton, agent_perm, world_perm) -> _Skeleton:
-    W = sk.world_count
-    mask = 0
-    for t in sk.pair_bits():
-        a, w = divmod(t, W)
-        mask |= 1 << _pair_bit(agent_perm[a], world_perm[w], W)
-    parts: list[tuple[tuple[int, ...], ...]] = [()] * sk.agent_count
-    for a, blocks in enumerate(sk.partitions):
-        parts[agent_perm[a]] = _canonical_partition(
-            [world_perm[w] for w in blk] for blk in blocks
-        )
-    return _Skeleton(W, sk.agent_count, mask, tuple(parts))
-
-
-def _is_canonical(sk: _Skeleton) -> bool:
-    key = _skeleton_key(sk)
-    for agent_perm, world_perm in _permutation_pairs(sk.world_count, sk.agent_count):
-        if _skeleton_key(_permuted_skeleton(sk, agent_perm, world_perm)) < key:
-            return False
-    return True
+    For a fixed world relabeling, the least agent order sorts agents by
+    (-row, partition): the highest agent's row is the most significant part
+    of the mask, and partitions compare from agent 0 up.  So a least key
+    has its rows non-increasing and its partitions non-decreasing among
+    equal rows (orderly generation), and it is the least in its orbit
+    exactly when no world relabeling, followed by that sort, yields a
+    smaller key.  Only the W! world relabelings are tried, not W!·A!.
+    """
+    relabelings = _world_relabelings(worlds)
+    images: dict = {}  # (relabeling index, partition) -> relabeled partition
+    # non-decreasing tuples come in lexicographic order; read from the
+    # highest agent down they are the non-increasing rows, by ascending mask
+    for ascending in itertools.combinations_with_replacement(range(1 << worlds), agents):
+        rows = ascending[::-1]
+        # a relabeling whose sorted rows are smaller beats every partition
+        # choice; one whose sorted rows are equal must be checked per choice
+        fixing = []
+        for i, (perm, table) in enumerate(relabelings):
+            image = tuple(sorted(table[r] for r in ascending))
+            if image < ascending:
+                break
+            if image == ascending:
+                fixing.append((i, perm, [-table[r] for r in rows]))
+        else:
+            mask = sum(r << a * worlds for a, r in enumerate(rows))
+            ties = [a for a in range(agents - 1) if rows[a] == rows[a + 1]]
+            choices = [
+                _set_partitions(tuple(w for w in range(worlds) if r >> w & 1)) for r in rows
+            ]
+            for combo in itertools.product(*choices):
+                if any(combo[a] > combo[a + 1] for a in ties):
+                    continue
+                for i, perm, keys in fixing:
+                    relabeled = []
+                    for part in combo:
+                        img = images.get((i, part))
+                        if img is None:
+                            img = images[i, part] = _canonical_partition(
+                                [perm[w] for w in blk] for blk in part
+                            )
+                        relabeled.append(img)
+                    if tuple(p for _, p in sorted(zip(keys, relabeled))) < combo:
+                        break
+                else:
+                    yield _Skeleton(worlds, agents, mask, combo)
 
 
 def _iter_skeletons_wa(worlds: int, agents: int, prune: bool = False) -> Iterator[_Skeleton]:
+    if prune:
+        yield from _canonical_skeletons(worlds, agents)
+        return
     for mask in range(1 << (agents * worlds)):
         rows = [
             tuple(w for w in range(worlds) if mask >> _pair_bit(a, w, worlds) & 1)
@@ -408,10 +439,7 @@ def _iter_skeletons_wa(worlds: int, agents: int, prune: bool = False) -> Iterato
         ]
         part_choices = [_set_partitions(r) for r in rows]
         for combo in itertools.product(*part_choices):
-            sk = _Skeleton(worlds, agents, mask, combo)
-            if prune and not _is_canonical(sk):
-                continue
-            yield sk
+            yield _Skeleton(worlds, agents, mask, combo)
 
 
 def _iter_skeletons(bounds: Bounds, prune: bool = False) -> Iterator[_Skeleton]:
@@ -445,10 +473,12 @@ def enumerate_models(bounds: Bounds, prune: bool = False) -> Iterator[EpistemicM
 
     The order is: ascending world count, agent count, presence bitmask
     (agent-major pair bits), partition choice, then valuation bitmask with
-    the first proposition most significant.  With prune=True, skeletons that
-    are not the least representative of their relabeling orbit are skipped;
-    this never changes which formulas have countermodels, only which
-    witnesses are seen.
+    the first proposition most significant.  With prune=True, only the
+    skeleton with the least key (presence bitmask, partitions) in each orbit
+    under relabeling worlds and agents is kept: agents are generated sorted,
+    and only the world relabelings are tried against each candidate.  This
+    never changes which formulas have countermodels, only which witnesses
+    are seen.
     """
     nprops = len(bounds.props)
     for sk in _iter_skeletons(bounds, prune):

@@ -46,6 +46,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(bad), "w", "a", "p")
         assert code == 2 and "partition-missing" in err
 
+    @pytest.mark.parametrize("formula", ["PHI", "true | PHI"])
+    def test_schema_exits_two(self, capsys, formula):
+        code, out, err = run(capsys, "check", MUSEUM_PATH, "w1", "a", formula)
+        assert code == 2 and out == ""
+        assert err == "error: cannot evaluate a schema; metavariable PHI is unbound\n"
+
     def test_explain(self, capsys):
         code, out, _ = run(
             capsys, "check", MUSEUM_PATH, "w1", "a", "R(weride & near)", "--explain"

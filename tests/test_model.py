@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from awarekit.model import (
     EpistemicModel,
     ModelFormatError,
     Point,
+    _iter_skeletons_wa,
     enumerate_models,
     load_model,
     model_from_json,
@@ -175,6 +177,61 @@ class TestEnumeration:
         it = iter(full)
         for m in pruned:
             assert any(m == x for x in it)
+
+
+def is_least_relabeling(sk):
+    """Oracle: no relabeling of the worlds and agents, all W!·A! of them,
+    gives the skeleton a smaller key (presence_mask, partitions)."""
+    W, A = sk.world_count, sk.agent_count
+    key = (sk.presence_mask, sk.partitions)
+    for agent_perm in itertools.permutations(range(A)):
+        for world_perm in itertools.permutations(range(W)):
+            mask = 0
+            parts = [()] * A
+            for a, blocks in enumerate(sk.partitions):
+                for w in range(W):
+                    if sk.presence_mask >> (a * W + w) & 1:
+                        mask |= 1 << (agent_perm[a] * W + world_perm[w])
+                parts[agent_perm[a]] = tuple(
+                    sorted(tuple(sorted(world_perm[w] for w in blk)) for blk in blocks)
+                )
+            if (mask, tuple(parts)) < key:
+                return False
+    return True
+
+
+# every shape with W·A <= 9 whose W!·A! <= 720 relabelings the oracle tries
+# in well under a second; (1,7..9) and (7..9,1) take from 0.5 s to hours
+ORACLE_SHAPES = [
+    (w, a)
+    for w in range(1, 10)
+    for a in range(1, 10)
+    if w * a <= 9 and math.factorial(w) * math.factorial(a) <= 720
+]
+
+
+class TestCanonicalSkeletons:
+    @pytest.mark.parametrize("worlds,agents", ORACLE_SHAPES)
+    def test_pruned_equals_brute_force_oracle(self, worlds, agents):
+        full = list(_iter_skeletons_wa(worlds, agents))
+        want = [sk for sk in full if is_least_relabeling(sk)]
+        assert list(_iter_skeletons_wa(worlds, agents, True)) == want
+
+    @pytest.mark.parametrize(
+        "worlds,agents,count",
+        [
+            (1, 1, 2),
+            (2, 2, 11),
+            (2, 3, 24),
+            (3, 2, 38),
+            (3, 3, 174),
+            (4, 2, 139),
+            (4, 3, 1616),
+            (5, 2, 501),
+        ],
+    )
+    def test_pruned_counts(self, worlds, agents, count):
+        assert sum(1 for _ in _iter_skeletons_wa(worlds, agents, True)) == count
 
 
 class TestModelFiles:

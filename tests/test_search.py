@@ -105,6 +105,14 @@ class TestDecideBounded:
         assert isinstance(v, Countermodel)
         assert v.model.valuation["p"] == frozenset()
 
+    @pytest.mark.parametrize("depth", [300, 600, 900])
+    @pytest.mark.parametrize("op", ["K", "R", "D"])
+    def test_deep_modal_chain(self, op, depth):
+        # on one world and one agent each operator collapses to p
+        v = decide_bounded(parse(f"{op} " * depth + "p"), Bounds(1, 1, ("p",)))
+        assert isinstance(v, Countermodel)
+        assert v.model.valuation["p"] == frozenset()
+
     def test_runs_twice_identically(self):
         f = parse("D p -> R p")
         a = decide_bounded(f, Bounds(3, 3, ("p",)))
