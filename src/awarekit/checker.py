@@ -4,12 +4,14 @@ The semantics is written out twice here.  ``_eval`` is the reference
 recursion: ``satisfies`` memoizes it per query on (world, agent, subformula
 identity), and ``satisfies_naive`` runs it without the cache so the cache
 can be cross-checked.  ``_Frame`` is the column engine, which every fast
-path runs on.  Over the present pairs of a skeleton (a model minus its
-valuation) it evaluates a formula under many valuations at once: each pair
-gets one integer column whose bit v says "true under valuation v".
-``ModelEvaluator`` runs a concrete model as its skeleton under its one
-valuation, so its columns are single bits; the bounded search in
-``awarekit.search`` sweeps every valuation of each skeleton; and
+path runs on.  It takes a run of skeletons (models minus their valuation)
+that share world count, agent count and presence, and evaluates a formula
+over all of them under all valuations at once: each present pair gets one
+integer column whose bit i * 2**total + v, a lane, says "true in skeleton
+i of the run under valuation v".  ``ModelEvaluator`` runs a concrete model
+as a run of one skeleton under its one valuation, so its columns are
+single bits; the bounded search in ``awarekit.search`` sweeps each
+presence mask's run of skeletons under every valuation; and
 ``is_tautology`` in ``awarekit.syntax`` runs on a one-pair frame whose
 leaves are the variables of the boolean abstraction.
 """
@@ -17,7 +19,7 @@ leaves are the variables of the boolean abstraction.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .model import AgentNotPresentError, EpistemicModel, Point, _Skeleton
 from .syntax import (
@@ -120,7 +122,7 @@ def satisfies_naive(m: EpistemicModel, pt: Point, f: Formula) -> bool:
 
 # ---------- the column engine ----------
 
-_CHUNK_BITS = 16  # at most 2**16 valuations evaluated per pass
+_CHUNK_BITS = 16  # at most 2**16 lanes evaluated per pass
 
 
 @lru_cache(maxsize=None)
@@ -133,73 +135,145 @@ def _pattern_column(bit: int, total_bits: int) -> int:
     return (unit * (((1 << (period * reps)) - 1) // ((1 << period) - 1))) << ones
 
 
-def _chunks(total_bits: int) -> Iterator[tuple[int, int, list[int]]]:
-    """Split the 2**total_bits valuations into ascending passes of at most
-    2**_CHUNK_BITS.  Yield (start, full, bits) per pass: full has one bit per
-    valuation of the pass, and bit v of bits[t] is bit t of valuation
-    start + v."""
-    width = min(total_bits, _CHUNK_BITS)
-    full = (1 << (1 << width)) - 1
-    low = [_pattern_column(t, width) for t in range(width)]
-    for hi in range(1 << (total_bits - width)):
-        high = [full if hi >> k & 1 else 0 for k in range(total_bits - width)]
-        yield hi << width, full, low + high
+def _widen(flags: bytearray, total_bits: int) -> int:
+    """Lane mask over len(flags) skeletons of 2**total_bits lanes each, in
+    which the lanes of skeleton j are set iff flags[j]."""
+    if total_bits >= 3:
+        spans = _spans(total_bits)
+        return int.from_bytes(b"".join([spans[f] for f in flags]), "little")
+    seg = (1 << (1 << total_bits)) - 1
+    return sum(seg << (j << total_bits) for j, f in enumerate(flags) if f)
+
+
+@lru_cache(maxsize=None)
+def _spans(total_bits: int) -> tuple[bytes, bytes]:
+    """The bytes of 2**total_bits unset lanes and of as many set ones."""
+    size = 1 << (total_bits - 3)
+    return bytes(size), b"\xff" * size
+
+
+# a block as (member slots, worlds, (member slot, its R witness slots) pairs)
+_Block = tuple[list[int], tuple[int, ...], list[tuple[int, list[int]]]]
+# what one pass needs: its blocks, each block's lane mask (None when every
+# lane uses every block), and the R steps as (member slot, witness slots),
+# each with its block's lane mask when there are masks
+_Layout = tuple[list[_Block], list[int] | None, list[tuple]]
 
 
 class _Frame:
-    """The column engine over one skeleton.
+    """The column engine over a run of skeletons that share world count,
+    agent count and presence mask.
 
     Slot i is the i-th present pair in ascending pair-bit order, which is
-    agent-major (agent, world) order.  A column holds one bit per valuation
-    of the current pass.  Construction precomputes partition blocks, the
-    agents present at each world, and the agents able to witness an R step
-    at each pair, so evaluating many formulas does no repeated structural
-    work.
+    agent-major (agent, world) order and the same in every skeleton of the
+    run.  Lane i * 2**total + v stands for skeleton i of the run under
+    valuation v, where total is the number of valuation bits; a column
+    holds one bit per lane of the current pass.  Construction does the
+    structural work once per run: it finds the agents present at each
+    world and every (agent, block) that some skeleton of the run uses,
+    with the block's member slots and, per member, the slots of the agents
+    able to witness an R step there (those whose row covers the block).
+    A pass then gives each block it needs the mask of the lanes whose
+    skeleton uses that block.
     """
 
-    def __init__(self, sk: _Skeleton):
-        W = sk.world_count
-        self.pairs = sk.pair_bits()
+    def __init__(self, run: Sequence[_Skeleton]):
+        first = run[0]
+        W = first.world_count
+        self.pairs = first.pair_bits()
         self.m = len(self.pairs)
         slot_of = {t: i for i, t in enumerate(self.pairs)}
-        rows = [0] * sk.agent_count
+        rows = [0] * first.agent_count
         agents_at: list[list[int]] = [[] for _ in range(W)]
         for t in self.pairs:
             a, w = divmod(t, W)
             rows[a] |= 1 << w
             agents_at[w].append(a)
-        # every agent's blocks as (member slots, worlds)
-        self.blocks: list[tuple[list[int], tuple[int, ...]]] = []
-        block_mask_at: dict[tuple[int, int], int] = {}
-        for a, blocks in enumerate(sk.partitions):
-            for blk in blocks:
-                wm = 0
-                for u in blk:
-                    wm |= 1 << u
-                for u in blk:
-                    block_mask_at[(a, u)] = wm
-                self.blocks.append(([slot_of[a * W + u] for u in blk], blk))
-        # R witnesses per slot: the agents b at its world covering its block
-        self.witness_slots: list[list[int]] = []
-        for t in self.pairs:
-            a, w = divmod(t, W)
-            blk = block_mask_at[(a, w)]
-            self.witness_slots.append(
-                [slot_of[b * W + w] for b in agents_at[w] if blk & ~rows[b] == 0]
-            )
         self.world_slots = [[slot_of[b * W + u] for b in agents_at[u]] for u in range(W)]
+        self.blocks: list[_Block] = []
+        self.uses: list[list[int]] = []  # per skeleton: indices of its blocks
+        index: dict[tuple[int, tuple[int, ...]], int] = {}
+        for sk in run:
+            used = []
+            for a, part in enumerate(sk.partitions):
+                for blk in part:
+                    b = index.get((a, blk))
+                    if b is None:
+                        b = index[a, blk] = len(self.blocks)
+                        cover = 0
+                        for u in blk:
+                            cover |= 1 << u
+                        slots = [slot_of[a * W + u] for u in blk]
+                        reach = [
+                            (s, [slot_of[c * W + u] for c in agents_at[u] if cover & rows[c] == cover])
+                            for s, u in zip(slots, blk)
+                        ]
+                        self.blocks.append((slots, blk, reach))
+                    used.append(b)
+            self.uses.append(used)
+
+    def plain(self, i: int) -> _Layout:
+        """The layout of a pass that holds skeleton i alone."""
+        blocks = [self.blocks[b] for b in self.uses[i]]
+        return blocks, None, [step for _, _, reach in blocks for step in reach]
+
+    def _passes(self, total_bits: int) -> Iterator[tuple[int, int, list[int], _Layout]]:
+        """Split the run's lanes into ascending passes of at most
+        2**_CHUNK_BITS, so a pass holds as many whole skeletons as fit, or
+        part of one.  Yield (start, full, bits, layout) per pass: full has
+        one bit per lane of the pass, bit l of bits[t] is bit t of the
+        valuation of lane start + l, and layout (see _Layout) gives the
+        blocks the pass needs and, parallel to them, the mask of the lanes
+        whose skeleton uses each one.  The masks are None when the pass
+        holds a single skeleton, whose blocks every lane uses."""
+        width = 1 << _CHUNK_BITS
+        low = min(total_bits, _CHUNK_BITS)
+        end = len(self.uses) << total_bits
+        for start in range(0, end, width):
+            n = min(width, end - start)
+            full = (1 << n) - 1
+            bits = [_pattern_column(t, _CHUNK_BITS) & full for t in range(low)]
+            bits += [full if start >> t & 1 else 0 for t in range(low, total_bits)]
+            first, last = start >> total_bits, (start + n - 1) >> total_bits
+            if first == last:
+                yield start, full, bits, self.plain(first)
+                continue
+            # users[b][j] flags that skeleton first + j uses block b
+            users: dict[int, bytearray] = {}
+            for j, used in enumerate(self.uses[first : last + 1]):
+                for b in used:
+                    flags = users.get(b)
+                    if flags is None:
+                        flags = users[b] = bytearray(last - first + 1)
+                    flags[j] = 1
+            blocks = [self.blocks[b] for b in users]
+            lanes = [_widen(flags, total_bits) for flags in users.values()]
+            steps = [
+                (s, cands, mask)
+                for (_, _, reach), mask in zip(blocks, lanes)
+                for s, cands in reach
+            ]
+            yield start, full, bits, (blocks, lanes, steps)
 
     def columns(
-        self, f: Formula, atoms: dict[str, list[int]], full: int, memo: dict[int, list[int]]
+        self,
+        f: Formula,
+        atoms: dict[str, list[int]],
+        full: int,
+        memo: dict[int, list[int]],
+        layout: _Layout,
     ) -> list[int]:
-        """Column per slot: bit v set iff f holds at the slot's pair under
-        valuation v of the pass whose valuations are the bits of full.
+        """Column per slot: bit l set iff f holds at the slot's pair in
+        lane l of the pass whose lanes are the bits of full.
 
         atoms gives each proposition's column per slot; one it lacks is
         false everywhere.  memo maps node ids to columns already known, so
-        a node seeded there is a leaf whatever its kind.
+        a node seeded there is a leaf whatever its kind.  layout gives the
+        pass's blocks and their lane masks, as _passes yields it.
         """
-        zero = [0] * self.m
+        m = self.m
+        zero = [0] * m
+        blocks, lanes, steps = layout
 
         def ev(node: Formula) -> list[int]:
             got = memo.get(id(node))
@@ -220,23 +294,41 @@ class _Frame:
             elif isinstance(node, Or):
                 left, right = ev(node.left), ev(node.right)
                 out = [l | r for l, r in zip(left, right)]
+            # K, R and D combine the child over each block, cut the result
+            # to the block's lanes and OR it into the block's member slots.
+            # With one skeleton in the pass each slot lies in exactly one
+            # block and every lane uses it, so the result is just assigned.
             elif isinstance(node, Know):
                 child = ev(node.child)
-                out = [0] * self.m
-                for slots, _ in self.blocks:
-                    acc = full
-                    for s in slots:
-                        acc &= child[s]
-                    for s in slots:
-                        out[s] = acc
+                out = [0] * m
+                if lanes is None:
+                    for slots, _, _ in blocks:
+                        acc = full
+                        for s in slots:
+                            acc &= child[s]
+                        for s in slots:
+                            out[s] = acc
+                else:
+                    for (slots, _, _), acc in zip(blocks, lanes):
+                        for s in slots:
+                            acc &= child[s]
+                        for s in slots:
+                            out[s] |= acc
             elif isinstance(node, DeRe):
                 child = ev(node.child)
-                out = []
-                for cands in self.witness_slots:
-                    acc = 0
-                    for s in cands:
-                        acc |= child[s]
-                    out.append(acc)
+                out = [0] * m
+                if lanes is None:
+                    for s, cands in steps:
+                        acc = 0
+                        for c in cands:
+                            acc |= child[c]
+                        out[s] = acc
+                else:
+                    for s, cands, mask in steps:
+                        acc = 0
+                        for c in cands:
+                            acc |= child[c]
+                        out[s] |= acc & mask
             elif isinstance(node, DeDicto):
                 child = ev(node.child)
                 inhabited = []
@@ -245,13 +337,20 @@ class _Frame:
                     for s in slots:
                         acc |= child[s]
                     inhabited.append(acc)
-                out = [0] * self.m
-                for slots, worlds in self.blocks:
-                    acc = full
-                    for u in worlds:
-                        acc &= inhabited[u]
-                    for s in slots:
-                        out[s] = acc
+                out = [0] * m
+                if lanes is None:
+                    for slots, worlds, _ in blocks:
+                        acc = full
+                        for u in worlds:
+                            acc &= inhabited[u]
+                        for s in slots:
+                            out[s] = acc
+                else:
+                    for (slots, worlds, _), acc in zip(blocks, lanes):
+                        for u in worlds:
+                            acc &= inhabited[u]
+                        for s in slots:
+                            out[s] |= acc
             elif isinstance(node, MetaVar):
                 raise ValueError(f"cannot evaluate a schema; metavariable {node.name} is unbound")
             else:
@@ -267,23 +366,25 @@ class _Frame:
         total_bits: int,
         leaves: Callable[[list[int]], tuple[dict[str, list[int]], dict[int, list[int]]]],
     ) -> tuple[int, int] | None:
-        """Lowest valuation index below 2**total_bits at which f fails at
-        some slot, and the lowest such slot; None when f never fails.
+        """Lowest lane at which f fails at some slot, and the lowest such
+        slot; None when f never fails.  Lane i * 2**total_bits + v is
+        skeleton i of the run under valuation v, so the lowest lane is the
+        first failure in enumeration order.
 
-        leaves(bits) turns one pass's valuation-bit columns (see _chunks)
+        leaves(bits) turns one pass's valuation-bit columns (see _passes)
         into the atoms and the seeded memo that columns takes.
         """
-        for start, full, bits in _chunks(total_bits):
+        for start, full, bits, layout in self._passes(total_bits):
             atoms, memo = leaves(bits)
-            result = self.columns(f, atoms, full, memo)
+            result = self.columns(f, atoms, full, memo, layout)
             ok = full
             for c in result:
                 ok &= c
             failing = full ^ ok
             if failing:
-                v = (failing & -failing).bit_length() - 1
-                slot = next(i for i, c in enumerate(result) if not c >> v & 1)
-                return start + v, slot
+                lane = (failing & -failing).bit_length() - 1
+                slot = next(i for i, c in enumerate(result) if not c >> lane & 1)
+                return start + lane, slot
         return None
 
 
@@ -309,14 +410,15 @@ class ModelEvaluator:
         self.present_mask = 0
         for a, w in m.presence:
             self.present_mask |= 1 << (a * W + w)
-        self._frame = _Frame(_Skeleton(W, m.agent_count, self.present_mask, m.indist))
+        self._frame = _Frame([_Skeleton(W, m.agent_count, self.present_mask, m.indist)])
+        self._layout = self._frame.plain(0)
         self._atoms = {
             p: [int(divmod(t, W) in pairs) for t in self._frame.pairs]
             for p, pairs in m.valuation.items()
         }
 
     def _columns(self, f: Formula) -> list[int]:
-        return self._frame.columns(f, self._atoms, 1, {})
+        return self._frame.columns(f, self._atoms, 1, {}, self._layout)
 
     def extension_mask(self, f: Formula) -> int:
         out = 0

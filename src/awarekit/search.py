@@ -7,19 +7,23 @@ randomized soundness fuzzing.
 bound is all it ever claims; no finite sweep can promise more.
 
 Internally the scan groups models by skeleton (counts, presence,
-partitions) and sweeps all valuations of a skeleton at once on the column
-engine of ``awarekit.checker``: each subformula's truth at a pair becomes
-one big integer whose bit v says "true under valuation v", so the
-per-valuation work collapses into wide bitwise operations.  The witness
-point is the lowest pair, in agent-major order, failing under the first
-failing valuation, and it is re-verified against the reference checker
-before it leaves this module.
+partitions), and groups the skeletons into runs that share counts and
+presence.  It sweeps each run on the column engine of ``awarekit.checker``:
+each subformula's truth at a pair becomes one big integer whose bit
+i * 2**total + v, a lane, says "true in skeleton i of the run under
+valuation v", so the per-skeleton and per-valuation work collapses into
+wide bitwise operations.  Lane order is enumeration order, so the lowest
+failing lane gives the first failing model; the witness point is its
+lowest failing pair in agent-major order, and it is re-verified against
+the reference checker before it leaves this module.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Sequence
 
 from .checker import ModelEvaluator, _Frame, satisfies
@@ -93,14 +97,18 @@ class AtomNotInBoundsError(ValueError):
 
 # ---------- bounded decisions ----------
 
+# skeletons of one shape share their slots and the agents at each world
+_shape = attrgetter("world_count", "agent_count", "presence_mask")
+
 
 def _scan(
     f: Formula, bounds: Bounds, prune: bool
 ) -> tuple[int, tuple[EpistemicModel, Point] | None]:
     props = bounds.props
     checked = 0
-    for sk in _iter_skeletons(bounds, prune):
-        frame = _Frame(sk)
+    for _, group in groupby(_iter_skeletons(bounds, prune), _shape):
+        run = list(group)
+        frame = _Frame(run)
         m = frame.m
         total = len(props) * m
         # the first proposition is most significant: valuation bit
@@ -110,10 +118,11 @@ def _scan(
             f, total, lambda bits: ({p: bits[lo : lo + m] for p, lo in lows}, {})
         )
         if hit is None:
-            checked += 1 << total
+            checked += len(run) << total
             continue
-        index, slot = hit
-        checked += index
+        lane, slot = hit
+        checked += lane
+        sk, index = run[lane >> total], lane & ((1 << total) - 1)
         masks = tuple(_scatter(index >> lo & ((1 << m) - 1), frame.pairs) for _, lo in lows)
         model = _materialize(sk, masks, props)
         a, w = divmod(frame.pairs[slot], sk.world_count)

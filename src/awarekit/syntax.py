@@ -207,11 +207,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+# the parser recurses once per level of parentheses and loops over chains
+# of prefix operators and of ->, so only parentheses are bounded
+MAX_PAREN_DEPTH = 100
+_PREFIX = {"K": Know, "R": DeRe, "D": DeDicto}
+
+
 class _Parser:
     def __init__(self, text: str, tokens: list[tuple[str, str, int]]):
         self._text = text
         self._toks = tokens
         self._i = 0
+        self._depth = 0  # parentheses open around the current token
 
     def _peek(self) -> tuple[str, str, int]:
         if self._i < len(self._toks):
@@ -229,11 +236,15 @@ class _Parser:
         raise ParseError(_byte_offset(self._text, pos), expected, found)
 
     def formula(self) -> Formula:
-        left = self.disj()
-        if self._peek()[0] == "->":
+        # -> is right associative: fold the operands from the right
+        operands = [self.disj()]
+        while self._peek()[0] == "->":
             self._advance()
-            return Implies(left, self.formula())
-        return left
+            operands.append(self.disj())
+        f = operands.pop()
+        while operands:
+            f = Implies(operands.pop(), f)
+        return f
 
     def disj(self) -> Formula:
         left = self.conj()
@@ -250,30 +261,36 @@ class _Parser:
         return left
 
     def unary(self) -> Formula:
-        kind, text, _ = self._peek()
-        if kind == "~":
-            self._advance()
-            return Not(self.unary())
-        if kind == "ident" and text in ("K", "R", "D", "A"):
-            self._advance()
-            child = self.unary()
-            if text == "K":
-                return Know(child)
-            if text == "R":
-                return DeRe(child)
-            if text == "D":
-                return DeDicto(child)
-            return Or(DeRe(child), DeDicto(child))
-        return self.atom()
+        ops = []
+        while True:
+            kind, text, _ = self._peek()
+            if kind == "~" or (kind == "ident" and text in ("K", "R", "D", "A")):
+                self._advance()
+                ops.append(text)
+            else:
+                break
+        f = self.atom()
+        for op in reversed(ops):
+            if op == "~":
+                f = Not(f)
+            elif op == "A":
+                f = Or(DeRe(f), DeDicto(f))
+            else:
+                f = _PREFIX[op](f)
+        return f
 
     def atom(self) -> Formula:
         kind, text, _ = self._peek()
         if kind == "(":
+            if self._depth == MAX_PAREN_DEPTH:
+                self._fail((f"at most {MAX_PAREN_DEPTH} nested parentheses",))
             self._advance()
+            self._depth += 1
             inner = self.formula()
             if self._peek()[0] != ")":
                 self._fail(("')'", "'->'", "'&'", "'|'"))
             self._advance()
+            self._depth -= 1
             return inner
         if kind == "ident":
             self._advance()
@@ -295,6 +312,9 @@ def parse(text: str) -> Formula:
     """Parse a formula (or schema, if it contains metavariables) from text.
 
     Raises ParseError with a 1-based byte offset on malformed input.
+    Parentheses may nest at most MAX_PAREN_DEPTH (100) deep; a deeper
+    opening parenthesis raises ParseError at its offset.  Chains of
+    prefix operators (~, K, R, D, A) and of -> have no such limit.
     """
     p = _Parser(text, _tokenize(text))
     f = p.formula()
@@ -432,6 +452,27 @@ def _nodes(f: Formula, opaque: tuple[type, ...] = ()) -> Iterator[Formula]:
             stack.extend(children(node))
 
 
+def _shapes(roots: list[Formula]) -> dict[int, int]:
+    """Number the nodes under roots by structure, bottom-up and without
+    recursion or hashing a node: two nodes get the same number iff they are
+    equal trees.  Keyed by node id; the roots must outlive the result."""
+    number: dict[int, int] = {}
+    table: dict[tuple, int] = {}
+    stack = [(root, False) for root in roots]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in number:
+            continue
+        kids = children(node)
+        if kids and not expanded:
+            stack.append((node, True))
+            stack.extend((k, False) for k in kids)
+            continue
+        key = (type(node), getattr(node, "name", None), *(number[id(k)] for k in kids))
+        number[id(node)] = table.setdefault(key, len(table))
+    return number
+
+
 def atoms(f: Formula) -> set[str]:
     return {n.name for n in _nodes(f) if isinstance(n, Atom)}
 
@@ -465,11 +506,10 @@ def is_tautology(f: Formula) -> bool:
     from .checker import _Frame
     from .model import _Skeleton
 
-    units: dict[Formula, int] = {}
-    unit_of: dict[int, int] = {}  # node id -> variable
-    for n in _nodes(f, _UNITS):
-        if isinstance(n, _UNITS):
-            unit_of[id(n)] = units.setdefault(n, len(units))
+    tops = [n for n in _nodes(f, _UNITS) if isinstance(n, _UNITS)]
+    shape = _shapes(tops)
+    units: dict[int, int] = {}  # shape number -> variable
+    unit_of = {id(n): units.setdefault(shape[id(n)], len(units)) for n in tops}
     if len(units) > MAX_TAUTOLOGY_VARIABLES:
         raise ValueError(
             f"boolean abstraction has {len(units)} variables; "
@@ -479,5 +519,5 @@ def is_tautology(f: Formula) -> bool:
     def leaves(bits: list[int]):
         return {}, {k: [bits[j]] for k, j in unit_of.items()}
 
-    one_pair = _Frame(_Skeleton(1, 1, 1, (((0,),),)))
+    one_pair = _Frame([_Skeleton(1, 1, 1, (((0,),),))])
     return one_pair.first_failure(f, len(units), leaves) is None

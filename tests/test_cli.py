@@ -266,3 +266,8 @@ class TestUsage:
     def test_deeply_nested_formula_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_parentheses_nested_too_deeply_exit_two(self, capsys):
+        code, out, err = run(capsys, "valid", "(" * 300 + "p" + ")" * 300)
+        assert code == 2 and out == ""
+        assert err.startswith("error: syntax error at offset 101: expected at most 100 nested parentheses")

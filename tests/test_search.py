@@ -12,15 +12,15 @@ from awarekit.search import (
     fuzz_soundness,
     random_formula,
 )
-from awarekit.syntax import parse, render
+from awarekit.syntax import instantiate, parse, render
 
 B1 = Bounds(2, 2, ("p",))
 
 
-def naive_decide(f, bounds):
+def naive_decide(f, bounds, prune=False):
     """Oracle: scan the public enumeration with the reference checker."""
     count = 0
-    for m in enumerate_models(bounds):
+    for m in enumerate_models(bounds, prune):
         for pt in m.points():
             if not satisfies(m, pt, f):
                 return m, pt
@@ -162,17 +162,68 @@ class TestPruning:
 
 class TestChunkedSweep:
     def test_tiny_chunks_change_nothing(self, monkeypatch):
-        # force the column engine through its multi-chunk path
+        # force the column engine through every pass layout: several
+        # skeletons in one pass, one presence run over several passes of
+        # whole skeletons, and one skeleton over several passes
         import awarekit.checker as engine
 
         wide = Bounds(2, 2, ("p", "q"))
         texts = ["K p -> p", "R p -> K R q", "D p -> R p", "p -> q", "K (p -> q) -> (K p -> K q)"]
         baseline = [decide_bounded(parse(t), wide) for t in texts]
-        monkeypatch.setattr(engine, "_CHUNK_BITS", 3)
-        # a full (2,2,{p,q}) skeleton has 4 pairs x 2 props = 8 valuation bits
-        assert len(list(engine._chunks(8))) > 1
-        chunked = [decide_bounded(parse(t), wide) for t in texts]
-        assert chunked == baseline
+        passes = engine._Frame._passes
+        seen = set()
+
+        def spy(frame, total_bits):
+            run = []
+            for start, full, bits, layout in passes(frame, total_bits):
+                run.append(full.bit_length())
+                yield start, full, bits, layout
+            width = 1 << total_bits
+            if any(n > width for n in run):
+                seen.add("skeletons share a pass")
+            if len(frame.uses) > 1 and len(run) > 1 and min(run) >= width:
+                seen.add("run over several passes")
+            if any(n < width for n in run):
+                seen.add("skeleton over several passes")
+
+        monkeypatch.setattr(engine._Frame, "_passes", spy)
+        for bits in (3, 5, 9):
+            monkeypatch.setattr(engine, "_CHUNK_BITS", bits)
+            chunked = [decide_bounded(parse(t), wide) for t in texts]
+            assert chunked == baseline, bits
+        assert seen == {
+            "skeletons share a pass",
+            "run over several passes",
+            "skeleton over several passes",
+        }
+
+
+class TestPackedRuns:
+    # at these bounds a presence mask holds up to 15 skeletons, which the
+    # engine sweeps in one lane space (skeleton x valuation)
+    @pytest.mark.parametrize("prune", [False, True], ids=["plain", "pruned"])
+    @pytest.mark.parametrize("bounds", [Bounds(3, 2, ("p",)), Bounds(2, 3, ("p",))], ids=["3x2", "2x3"])
+    def test_agrees_with_naive_on_random_formulas(self, bounds, prune):
+        import random as _r
+
+        # refuted in runs of several skeletons, past the first one
+        formulas = [
+            parse(t)
+            for t in ["R K p -> K R p", "~D ~K p -> ~R ~D p", "K ~R p -> ~D K p", "~R ~R p -> ~D ~R p"]
+        ]
+        rng = _r.Random(2024)
+        formulas += [random_formula(rng, ("p",), 3) for _ in range(4)]
+        # schema instances are valid, so these sweep every run to its end
+        for _, schema in default_fuzz_schemas()[:3]:
+            subst = {"PHI": random_formula(rng, ("p",), 2), "PSI": random_formula(rng, ("p",), 2)}
+            formulas.append(instantiate(schema, subst))
+        for f in formulas:
+            got = decide_bounded(f, bounds, prune)
+            want = naive_decide(f, bounds, prune)
+            if isinstance(got, ValidUpToBounds):
+                assert got.models_checked == want, render(f)
+            else:
+                assert (got.model, got.point) == want, render(f)
 
 
 class TestFuzz:

@@ -85,6 +85,32 @@ class TestParse:
             parse("p + q")
         assert exc.value.offset == 3
 
+    def test_parentheses_nest_at_most_one_hundred_deep(self):
+        assert parse("(" * 100 + "p" + ")" * 100) == P
+        f = parse("~(" * 100 + "p" + ")" * 100)
+        for _ in range(100):
+            f = f.child
+        assert f == P
+        with pytest.raises(ParseError) as exc:
+            parse("(" * 300 + "p" + ")" * 300)
+        assert exc.value.offset == 101 and exc.value.found == "'('"
+
+    @pytest.mark.parametrize(("op", "node"), [("~", Not), ("K ", Know), ("R ", DeRe), ("D ", DeDicto)])
+    def test_long_prefix_chains_parse(self, op, node):
+        f = parse(op * 900 + "p")
+        for _ in range(900):
+            assert type(f) is node
+            f = f.child
+        assert f == P
+
+    def test_long_implication_chain_parses(self):
+        # right associative, as with short chains
+        f = parse(" -> ".join(["p"] * 2000))
+        for _ in range(1999):
+            assert type(f) is Implies and f.left == P
+            f = f.right
+        assert f == P
+
     def test_atom_constructor_rejects_reserved(self):
         for bad in ("K", "true", "false", "PHI", "", "1x"):
             with pytest.raises(ValueError):
@@ -234,6 +260,13 @@ class TestTautology:
     def test_deeply_nested_negation(self, depth):
         assert not is_tautology(parse("~" * depth + "p"))
         assert is_tautology(parse("~" * depth + "p | ~p"))
+
+    def test_deep_modal_chain(self):
+        # each chain is one abstraction unit; equal chains share it
+        chain = "K " * 600 + "p"
+        assert not is_tautology(parse(chain))
+        assert is_tautology(parse(f"{chain} -> {chain}"))
+        assert not is_tautology(parse(f"{chain} -> K {chain}"))
 
     @settings(max_examples=300, deadline=None)
     @given(formulas(max_depth=4))
