@@ -138,18 +138,12 @@ def _pattern_column(bit: int, total_bits: int) -> int:
 def _widen(flags: bytearray, total_bits: int) -> int:
     """Lane mask over len(flags) skeletons of 2**total_bits lanes each, in
     which the lanes of skeleton j are set iff flags[j]."""
-    if total_bits >= 3:
-        spans = _spans(total_bits)
+    if total_bits >= 3:  # whole bytes per skeleton
+        size = 1 << (total_bits - 3)
+        spans = (bytes(size), b"\xff" * size)
         return int.from_bytes(b"".join([spans[f] for f in flags]), "little")
     seg = (1 << (1 << total_bits)) - 1
     return sum(seg << (j << total_bits) for j, f in enumerate(flags) if f)
-
-
-@lru_cache(maxsize=None)
-def _spans(total_bits: int) -> tuple[bytes, bytes]:
-    """The bytes of 2**total_bits unset lanes and of as many set ones."""
-    size = 1 << (total_bits - 3)
-    return bytes(size), b"\xff" * size
 
 
 # a block as (member slots, worlds, (member slot, its R witness slots) pairs)
@@ -242,10 +236,7 @@ class _Frame:
             users: dict[int, bytearray] = {}
             for j, used in enumerate(self.uses[first : last + 1]):
                 for b in used:
-                    flags = users.get(b)
-                    if flags is None:
-                        flags = users[b] = bytearray(last - first + 1)
-                    flags[j] = 1
+                    users.setdefault(b, bytearray(last - first + 1))[j] = 1
             blocks = [self.blocks[b] for b in users]
             lanes = [_widen(flags, total_bits) for flags in users.values()]
             steps = [

@@ -210,7 +210,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # the parser recurses once per level of parentheses and loops over chains
 # of prefix operators and of ->, so only parentheses are bounded
 MAX_PAREN_DEPTH = 100
-_PREFIX = {"K": Know, "R": DeRe, "D": DeDicto}
+_PREFIX = {
+    "~": Not,
+    "K": Know,
+    "R": DeRe,
+    "D": DeDicto,
+    "A": lambda f: Or(DeRe(f), DeDicto(f)),
+}
 
 
 class _Parser:
@@ -262,21 +268,11 @@ class _Parser:
 
     def unary(self) -> Formula:
         ops = []
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "~" or (kind == "ident" and text in ("K", "R", "D", "A")):
-                self._advance()
-                ops.append(text)
-            else:
-                break
+        while self._peek()[1] in _PREFIX:
+            ops.append(_PREFIX[self._advance()[1]])
         f = self.atom()
         for op in reversed(ops):
-            if op == "~":
-                f = Not(f)
-            elif op == "A":
-                f = Or(DeRe(f), DeDicto(f))
-            else:
-                f = _PREFIX[op](f)
+            f = op(f)
         return f
 
     def atom(self) -> Formula:
