@@ -349,7 +349,12 @@ class _Frame:
             memo[id(node)] = out
             return out
 
-        return ev(f)
+        try:
+            return ev(f)
+        finally:
+            # ev holds itself through its closure; without this the cycle
+            # keeps the pass's columns alive until the cyclic collector runs
+            del ev
 
     def first_failure(
         self,

@@ -199,7 +199,7 @@ class TestChunkedSweep:
 
 
 class TestPackedRuns:
-    # at these bounds a presence mask holds up to 15 skeletons, which the
+    # at these bounds a presence mask holds up to 25 skeletons, which the
     # engine sweeps in one lane space (skeleton x valuation)
     @pytest.mark.parametrize("prune", [False, True], ids=["plain", "pruned"])
     @pytest.mark.parametrize("bounds", [Bounds(3, 2, ("p",)), Bounds(2, 3, ("p",))], ids=["3x2", "2x3"])
