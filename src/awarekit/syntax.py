@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 __all__ = [
@@ -454,17 +455,27 @@ def _shapes(roots: list[Formula]) -> dict[int, int]:
     equal trees.  Keyed by node id; the roots must outlive the result."""
     number: dict[int, int] = {}
     table: dict[tuple, int] = {}
-    stack = [(root, False) for root in roots]
+    stack = list(roots)
     while stack:
-        node, expanded = stack.pop()
+        node = stack.pop()
         if id(node) in number:
             continue
-        kids = children(node)
-        if kids and not expanded:
-            stack.append((node, True))
-            stack.extend((k, False) for k in kids)
-            continue
-        key = (type(node), getattr(node, "name", None), *(number[id(k)] for k in kids))
+        kind = type(node)
+        # a node whose children are not numbered yet waits under them
+        if kind in _UNARY:
+            child = number.get(id(node.child))
+            if child is None:
+                stack += (node, node.child)
+                continue
+            key = (kind, child)
+        elif kind in _BINARY:
+            left, right = number.get(id(node.left)), number.get(id(node.right))
+            if left is None or right is None:
+                stack += (node, node.left, node.right)
+                continue
+            key = (kind, left, right)
+        else:
+            key = (kind, getattr(node, "name", None))
         number[id(node)] = table.setdefault(key, len(table))
     return number
 
@@ -498,10 +509,6 @@ def is_tautology(f: Formula) -> bool:
     over a one-pair frame, each variable's column seeded as a leaf, so the
     engine never descends into a variable.
     """
-    # imported here because the checker imports this module
-    from .checker import _Frame
-    from .model import _Skeleton
-
     tops = [n for n in _nodes(f, _UNITS) if isinstance(n, _UNITS)]
     shape = _shapes(tops)
     units: dict[int, int] = {}  # shape number -> variable
@@ -515,5 +522,14 @@ def is_tautology(f: Formula) -> bool:
     def leaves(bits: list[int]):
         return {}, {k: [bits[j]] for k, j in unit_of.items()}
 
-    one_pair = _Frame([_Skeleton(1, 1, 1, (((0,),),))])
-    return one_pair.first_failure(f, len(units), leaves) is None
+    return _one_pair().first_failure(f, len(units), leaves) is None
+
+
+@lru_cache(maxsize=None)
+def _one_pair():
+    """The column engine over one world and one agent, for is_tautology."""
+    # imported here because the checker imports this module
+    from .checker import _Frame
+    from .model import _Skeleton
+
+    return _Frame([_Skeleton(1, 1, 1, (((0,),),))])

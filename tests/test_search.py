@@ -113,6 +113,21 @@ class TestDecideBounded:
         assert isinstance(v, Countermodel)
         assert v.model.valuation["p"] == frozenset()
 
+    def test_sweep_leaves_no_reference_cycles(self):
+        # each pass's columns are freed as the pass ends, not whenever the
+        # cyclic garbage collector next runs
+        import gc
+
+        f, bounds = parse("K p -> p"), Bounds(2, 2, ("p",))
+        decide_bounded(f, bounds)  # fill the enumeration caches first
+        gc.collect()
+        gc.disable()
+        try:
+            decide_bounded(f, bounds)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_runs_twice_identically(self):
         f = parse("D p -> R p")
         a = decide_bounded(f, Bounds(3, 3, ("p",)))

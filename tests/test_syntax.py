@@ -95,14 +95,6 @@ class TestParse:
             parse("(" * 300 + "p" + ")" * 300)
         assert exc.value.offset == 101 and exc.value.found == "'('"
 
-    @pytest.mark.parametrize(("op", "node"), [("~", Not), ("K ", Know), ("R ", DeRe), ("D ", DeDicto)])
-    def test_long_prefix_chains_parse(self, op, node):
-        f = parse(op * 900 + "p")
-        for _ in range(900):
-            assert type(f) is node
-            f = f.child
-        assert f == P
-
     def test_long_implication_chain_parses(self):
         # right associative, as with short chains
         f = parse(" -> ".join(["p"] * 2000))
