@@ -220,6 +220,9 @@ class _Frame:
         blocks the pass needs and, parallel to them, the mask of the lanes
         whose skeleton uses each one.  The masks are None when the pass
         holds a single skeleton, whose blocks every lane uses."""
+        # passes start at multiples of width, and width and 2**total_bits
+        # are powers of two: so a pass never cuts a skeleton it does not
+        # hold alone, and valuation bits below low are lane-offset bits
         width = 1 << _CHUNK_BITS
         low = min(total_bits, _CHUNK_BITS)
         end = len(self.uses) << total_bits
