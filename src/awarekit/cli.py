@@ -51,7 +51,7 @@ def _load_checked_model(path: str):
 def cmd_check(args) -> int:
     try:
         model, world_names, agent_names = _load_checked_model(args.model)
-    except (OSError, ModelFormatError) as exc:
+    except ModelFormatError as exc:
         return _die(str(exc))
     try:
         formula = parse(args.formula)
@@ -145,11 +145,8 @@ def cmd_valid(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    try:
-        with open(args.script, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _die(str(exc))
+    with open(args.script, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         _, script = parse_proof(text)
     except ProofFileError as exc:
@@ -183,6 +180,8 @@ def cmd_prove(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.trials < 1:
         return _die("--trials must be at least 1")
+    if args.instances < 1:
+        return _die("--instances must be at least 1")
     props = tuple(args.props.split(","))
     try:
         bounds = Bounds(args.max_worlds, args.max_agents, props)
@@ -231,7 +230,7 @@ def cmd_fuzz(args) -> int:
 def cmd_lint(args) -> int:
     try:
         model, world_names, agent_names = load_model(args.model)
-    except (OSError, ModelFormatError) as exc:
+    except ModelFormatError as exc:
         return _die(str(exc))
     violations = model.validate()
     if args.dot and not violations:
@@ -341,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except RecursionError:
         return _die("formula is nested too deeply")
+    except (OSError, UnicodeDecodeError) as exc:
+        # unreadable input or an unwritable --dot path; commands write such
+        # files before printing anything
+        return _die(str(exc))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .syntax import (
@@ -142,6 +142,17 @@ class Cite:
 
 Justification = Axiom | Hyp | MP | Nec | MonoD | MonoR | Cite
 
+# The rules whose fields are all line or hypothesis indices (0-based in a
+# script, 1-based in a proof file), with their proof-file keywords.
+_INDEX_RULES: dict[type, str] = {
+    Hyp: "hyp",
+    MP: "mp",
+    Nec: "nec",
+    MonoD: "monoD",
+    MonoR: "monoR",
+}
+_MONO_WRAP = {MonoD: DeDicto, MonoR: DeRe}
+
 
 @dataclass(frozen=True)
 class ProofLine:
@@ -248,17 +259,7 @@ class Registry:
 def _rule_name(just: Justification) -> str:
     if isinstance(just, Axiom):
         return just.axiom.value
-    if isinstance(just, Hyp):
-        return "hyp"
-    if isinstance(just, MP):
-        return "mp"
-    if isinstance(just, Nec):
-        return "nec"
-    if isinstance(just, MonoD):
-        return "monoD"
-    if isinstance(just, MonoR):
-        return "monoR"
-    return "cite"
+    return _INDEX_RULES.get(type(just), "cite")
 
 
 def check(script: ProofScript, registry: Registry | None = None) -> Formula:
@@ -287,7 +288,11 @@ def check(script: ProofScript, registry: Registry | None = None) -> Formula:
             )
         if isinstance(just, Axiom):
             if just.axiom is AxiomId.TAUT:
-                if not is_tautology(line.formula):
+                try:
+                    holds = is_tautology(line.formula)
+                except ValueError as exc:  # too many abstraction variables
+                    raise ProofError(k, rule, str(exc)) from None
+                if not holds:
                     raise ProofError(
                         k, rule, f"{render(line.formula)} is not a propositional tautology"
                     )
@@ -335,7 +340,7 @@ def check(script: ProofScript, registry: Registry | None = None) -> Formula:
             src = lines[just.source].formula
             if not isinstance(src, Implies):
                 raise ProofError(k, rule, f"line {just.source + 1} is not an implication")
-            wrap = DeDicto if isinstance(just, MonoD) else DeRe
+            wrap = _MONO_WRAP[type(just)]
             want = Implies(wrap(src.left), wrap(src.right))
             if line.formula != want:
                 raise ProofError(k, rule, f"expected {render(want)}")
@@ -362,11 +367,14 @@ def check(script: ProofScript, registry: Registry | None = None) -> Formula:
 
 
 class _Builder:
-    """Append-only proof construction; indices are returned as lines are added."""
+    """Append-only proof construction after any given lines; indices are
+    returned as lines are added."""
 
-    def __init__(self, hypotheses: tuple[Formula, ...] | None):
+    def __init__(
+        self, hypotheses: tuple[Formula, ...] | None, lines: tuple[ProofLine, ...] = ()
+    ):
         self._hyps = hypotheses
-        self._lines: list[ProofLine] = []
+        self._lines = list(lines)
 
     def add(self, formula: Formula, just: Justification) -> int:
         self._lines.append(ProofLine(formula, just))
@@ -384,9 +392,6 @@ class _Builder:
     def hyp(self, i: int) -> int:
         return self.add(self._hyps[i], Hyp(i))
 
-    def cite(self, name: str, subst: dict[str, Formula], f: Formula) -> int:
-        return self.add(f, Cite(name, dict(subst)))
-
     def mp(self, antecedent: int, implication: int) -> int:
         imp = self.formula(implication)
         assert isinstance(imp, Implies) and imp.left == self.formula(antecedent)
@@ -395,13 +400,10 @@ class _Builder:
     def nec(self, i: int) -> int:
         return self.add(Know(self.formula(i)), Nec(i))
 
-    def mono_d(self, i: int) -> int:
+    def mono(self, rule: type[MonoD] | type[MonoR], i: int) -> int:
         src = self.formula(i)
-        return self.add(Implies(DeDicto(src.left), DeDicto(src.right)), MonoD(i))
-
-    def mono_r(self, i: int) -> int:
-        src = self.formula(i)
-        return self.add(Implies(DeRe(src.left), DeRe(src.right)), MonoR(i))
+        wrap = _MONO_WRAP[rule]
+        return self.add(Implies(wrap(src.left), wrap(src.right)), rule(i))
 
     def weaken(self, i: int, extra: Formula) -> int:
         """From line i proving f, derive extra -> f."""
@@ -497,27 +499,22 @@ def lift_knowledge(script: ProofScript, registry: Registry) -> ProofScript:
     """
     if script.is_theorem_mode:
         raise ValueError("lift_knowledge applies to hypothesis-mode scripts")
-    check(script, registry)
     hyps = script.hypotheses
-    psi = script.conclusion
-
     if not hyps:
-        b = _Builder(None)
-        for line in script.lines:
-            b.add(line.formula, line.justification)
+        check(script, registry)
+        b = _Builder(None, script.lines)
         b.nec(len(script.lines) - 1)
         out = b.script()
         check(out, registry)
         return out
 
+    # the first deduction checks the input script
     cur = script
     for i in range(len(hyps) - 1, -1, -1):
         cur = deduction(cur, i, registry)
     nested = cur.conclusion  # phi_1 -> (phi_2 -> ... -> psi)
 
-    tb = _Builder(None)
-    for line in cur.lines:
-        tb.add(line.formula, line.justification)
+    tb = _Builder(None, cur.lines)
     k_nested = tb.nec(len(cur.lines) - 1)
 
     # peel the implication chain, pushing K through one antecedent at a time
@@ -548,13 +545,13 @@ def lift_knowledge(script: ProofScript, registry: Registry) -> ProofScript:
         registry.register(name, conclusion, theorem)
 
     ob = _Builder(tuple(Know(h) for h in hyps))
-    acc = ob.cite(name, {}, conclusion)
+    acc = ob.add(conclusion, Cite(name))
     for i in range(len(hyps)):
         h = ob.hyp(i)
         acc = ob.mp(h, acc)
     out = ob.script()
     check(out, registry)
-    if out.conclusion != Know(psi):
+    if out.conclusion != Know(script.conclusion):
         raise AssertionError("lift_knowledge produced an unexpected conclusion")
     return out
 
@@ -621,26 +618,19 @@ def _builtin_unaware_top(n: int) -> ProofScript:
         tower = awareness_tower(nt, k)
         s1 = b.taut(Implies(Not(tower), Implies(tower, FALSE)))
         falls = b.mp(cur, s1)  # tower -> false
-        r1 = b.mono_r(falls)  # R tower -> R false
-        r2 = b.axiom(AxiomId.UNAWARE_FALSE_R, Not(DeRe(FALSE)))
-        r3 = b.taut(
-            Implies(
-                Implies(DeRe(tower), DeRe(FALSE)),
-                Implies(Not(DeRe(FALSE)), Not(DeRe(tower))),
+        unaware = []  # ~R tower, then ~D tower
+        for rule, axiom in ((MonoR, AxiomId.UNAWARE_FALSE_R), (MonoD, AxiomId.UNAWARE_FALSE_D)):
+            wrap = _MONO_WRAP[rule]
+            lifted = b.mono(rule, falls)  # wrap tower -> wrap false
+            no_false = b.axiom(axiom, Not(wrap(FALSE)))
+            t = b.taut(
+                Implies(
+                    Implies(wrap(tower), wrap(FALSE)),
+                    Implies(Not(wrap(FALSE)), Not(wrap(tower))),
+                )
             )
-        )
-        r4 = b.mp(r1, r3)
-        not_r = b.mp(r2, r4)  # ~R tower
-        d1 = b.mono_d(falls)
-        d2 = b.axiom(AxiomId.UNAWARE_FALSE_D, Not(DeDicto(FALSE)))
-        d3 = b.taut(
-            Implies(
-                Implies(DeDicto(tower), DeDicto(FALSE)),
-                Implies(Not(DeDicto(FALSE)), Not(DeDicto(tower))),
-            )
-        )
-        d4 = b.mp(d1, d3)
-        not_d = b.mp(d2, d4)  # ~D tower
+            unaware.append(b.mp(no_false, b.mp(lifted, t)))
+        not_r, not_d = unaware
         goal = Not(Or(DeRe(tower), DeDicto(tower)))
         j1 = b.taut(Implies(Not(DeRe(tower)), Implies(Not(DeDicto(tower)), goal)))
         j2 = b.mp(not_r, j1)
@@ -649,7 +639,9 @@ def _builtin_unaware_top(n: int) -> ProofScript:
 
 
 def _builtin_mono_a(m: int, n: int) -> ProofScript:
-    # an m-level awareness tower implies any taller n-level tower (n >= m)
+    # an m-level awareness tower implies any taller n-level tower
+    if n < m:
+        raise ValueError(f"mono_A requires n >= m, got m={m}, n={n}")
     base = awareness_tower(_P, m)
     b = _Builder(None)
     cur = b.taut(Implies(base, base))
@@ -663,7 +655,14 @@ def _builtin_mono_a(m: int, n: int) -> ProofScript:
     return b.script()
 
 
-BUILTIN_NAMES = ("positive_introspection", "lemma_A", "unaware_top", "mono_A")
+# name -> (parameter count, unchecked builder)
+_BUILTINS = {
+    "positive_introspection": (0, _builtin_positive_introspection),
+    "lemma_A": (1, _builtin_lemma_a),
+    "unaware_top": (1, _builtin_unaware_top),
+    "mono_A": (2, _builtin_mono_a),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str, *params: int) -> ProofScript:
@@ -673,23 +672,10 @@ def builtin(name: str, *params: int) -> ProofScript:
     mono_A(m, n) with n >= m >= 0.  Inductive arguments are unrolled to the
     requested depth; the checker itself has no induction rule.
     """
-    if name == "positive_introspection":
-        if params:
-            raise ValueError("positive_introspection takes no parameters")
-        script = _builtin_positive_introspection()
-    elif name == "lemma_A":
-        (n,) = _int_params(name, params, 1)
-        script = _builtin_lemma_a(n)
-    elif name == "unaware_top":
-        (n,) = _int_params(name, params, 1)
-        script = _builtin_unaware_top(n)
-    elif name == "mono_A":
-        m, n = _int_params(name, params, 2)
-        if n < m:
-            raise ValueError(f"mono_A requires n >= m, got m={m}, n={n}")
-        script = _builtin_mono_a(m, n)
-    else:
+    if name not in _BUILTINS:
         raise ValueError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+    count, build = _BUILTINS[name]
+    script = build(*_int_params(name, params, count))
     check(script)
     return script
 
@@ -704,28 +690,30 @@ _PHI = MetaVar("PHI")
 
 
 def default_registry() -> Registry:
-    """Registry preloaded with the builtin derivations at small depths."""
+    """Registry preloaded with the builtin derivations at small depths.
+
+    The builders run unchecked: register checks each proof."""
     reg = Registry()
     reg.register(
         "positive_introspection",
         parse("K PHI -> K K PHI"),
-        builtin("positive_introspection"),
+        _builtin_positive_introspection(),
         {"PHI": _P},
     )
     for n in range(4):
         reg.register(
             f"lemma_A_{n}",
             Implies(DeDicto(awareness_tower(_PHI, n)), DeDicto(_PHI)),
-            builtin("lemma_A", n),
+            _builtin_lemma_a(n),
             {"PHI": _P},
         )
-        unaware_top = builtin("unaware_top", n)
+        unaware_top = _builtin_unaware_top(n)
         reg.register(f"unaware_top_{n}", unaware_top.conclusion, unaware_top)
     for m, n in ((0, 1), (1, 3)):
         reg.register(
             f"mono_A_{m}_{n}",
             Implies(awareness_tower(_PHI, m), awareness_tower(_PHI, n)),
-            builtin("mono_A", m, n),
+            _builtin_mono_a(m, n),
             {"PHI": _P},
         )
     return reg
@@ -745,6 +733,7 @@ class ProofFileError(ValueError):
 
 _LINE_RE = re.compile(r"(\d+)\s*:\s*(.*)$")
 _KEYWORD_TO_AXIOM = {ax.value: ax for ax in AxiomId}
+_KEYWORD_TO_RULE = {keyword: rule for rule, keyword in _INDEX_RULES.items()}
 
 
 def parse_proof(text: str) -> tuple[str | None, ProofScript]:
@@ -822,17 +811,9 @@ def _parse_just(text: str, lineno: int) -> Justification:
         if rest:
             raise ProofFileError(lineno, f"{head} takes no arguments")
         return Axiom(_KEYWORD_TO_AXIOM[head])
-    if head == "hyp":
-        return Hyp(_ref(rest, 1, lineno, "hyp")[0] - 1)
-    if head == "mp":
-        i, j = _ref(rest, 2, lineno, "mp")
-        return MP(i - 1, j - 1)
-    if head == "nec":
-        return Nec(_ref(rest, 1, lineno, "nec")[0] - 1)
-    if head == "monoD":
-        return MonoD(_ref(rest, 1, lineno, "monoD")[0] - 1)
-    if head == "monoR":
-        return MonoR(_ref(rest, 1, lineno, "monoR")[0] - 1)
+    rule = _KEYWORD_TO_RULE.get(head)
+    if rule is not None:
+        return rule(*(i - 1 for i in _ref(rest, len(fields(rule)), lineno, head)))
     if head == "cite":
         m = re.fullmatch(r"(\S+)(?:\s*\[(.*)\])?", rest.strip())
         if not m:
@@ -876,16 +857,6 @@ def format_proof(script: ProofScript, name: str | None = None) -> str:
 def _format_just(just: Justification) -> str:
     if isinstance(just, Axiom):
         return just.axiom.value
-    if isinstance(just, Hyp):
-        return f"hyp {just.index + 1}"
-    if isinstance(just, MP):
-        return f"mp {just.antecedent + 1} {just.implication + 1}"
-    if isinstance(just, Nec):
-        return f"nec {just.source + 1}"
-    if isinstance(just, MonoD):
-        return f"monoD {just.source + 1}"
-    if isinstance(just, MonoR):
-        return f"monoR {just.source + 1}"
     if isinstance(just, Cite):
         if just.substitution:
             items = ", ".join(
@@ -893,4 +864,7 @@ def _format_just(just: Justification) -> str:
             )
             return f"cite {just.name} [{items}]"
         return f"cite {just.name}"
-    raise TypeError(f"unknown justification {just!r}")
+    keyword = _INDEX_RULES.get(type(just))
+    if keyword is None:
+        raise TypeError(f"unknown justification {just!r}")
+    return " ".join([keyword, *(str(getattr(just, f.name) + 1) for f in fields(just))])

@@ -238,6 +238,8 @@ def fuzz_soundness(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if instances_per_schema < 1:
+        raise ValueError("instances_per_schema must be at least 1")
     if schemas is None:
         schemas = default_fuzz_schemas()
     rng = random.Random(seed)

@@ -489,10 +489,21 @@ def metavariables(f: Formula) -> set[str]:
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, _MODAL):
-        return 1 + modal_depth(f.child)
-    kids = children(f)
-    return max((modal_depth(k) for k in kids), default=0)
+    """The deepest nesting of K, R and D in f, found without recursion;
+    each shared node object is measured once."""
+    depth: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        kids = children(node)
+        pending = [k for k in kids if id(k) not in depth]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        below = max((depth[id(k)] for k in kids), default=0)
+        depth[id(node)] = below + isinstance(node, _MODAL)
+    return depth[id(f)]
 
 
 MAX_TAUTOLOGY_VARIABLES = 20

@@ -176,6 +176,17 @@ class TestProve:
         code, _, _ = run(capsys, "prove", "/no/such/file.proof")
         assert code == 2
 
+    def test_taut_over_too_many_variables_exits_one(self, tmp_path, capsys):
+        proof = tmp_path / "big.proof"
+        big = " -> ".join(f"p{i}" for i in range(21)) + " -> p0"
+        proof.write_text(f"theorem big\n1: {big} by taut\n")
+        reason = "boolean abstraction has 21 variables; at most 20 are supported"
+        code, out, err = run(capsys, "prove", str(proof))
+        assert (code, out, err) == (1, f"line 1: taut: {reason}\n", "")
+        code, out, err = run(capsys, "prove", str(proof), "--json")
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"ok": False, "line": 1, "rule": "taut", "reason": reason}
+
     def test_json_twin(self, tmp_path, capsys):
         bad = tmp_path / "bad.proof"
         bad.write_text("from p\n1: p by hyp 1\n2: K p by nec 1\n")
@@ -194,6 +205,11 @@ class TestFuzz:
     def test_zero_trials_exits_two(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--trials", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_no_instances_exits_two(self, capsys, instances):
+        code, out, err = run(capsys, "fuzz", "--trials", "2", "--instances", instances)
+        assert (code, out, err) == (2, "", "error: --instances must be at least 1\n")
 
     def test_byte_identical_reruns(self, capsys):
         a = run(capsys, "fuzz", "--trials", "15", "--seed", "9", "--json")
@@ -249,6 +265,35 @@ class TestExpand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prove", "{bad}"],
+            ["prove", "{bad}", "--json"],
+            ["lint", "{bad}"],
+            ["check", "{bad}", "w1", "a", "p"],
+        ],
+    )
+    def test_non_utf8_input_exits_two(self, tmp_path, capsys, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("theorem caf\xe9\n1: p -> p by taut\n".encode("latin-1"))
+        code, out, err = run(capsys, *(arg.format(bad=bad) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["valid", "K p", "--max-worlds", "1", "--max-agents", "1", "--dot", "{dot}"],
+            ["lint", MUSEUM_PATH, "--dot", "{dot}"],
+        ],
+    )
+    def test_unwritable_dot_path_exits_two(self, tmp_path, capsys, argv):
+        dot = tmp_path / "missing" / "x.dot"
+        code, out, err = run(capsys, *(arg.format(dot=dot) for arg in argv))
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{dot}'\n"
+
     def test_no_command_exits_two(self, capsys):
         assert run(capsys, )[0] == 2
 

@@ -239,6 +239,20 @@ class TestCheck:
             check(script)
         assert exc.value.rule == "taut"
 
+    def test_taut_over_too_many_variables_is_a_proof_error(self):
+        big = parse(" -> ".join(f"p{i}" for i in range(21)) + " -> p0")
+        script = ProofScript(
+            (
+                ProofLine(parse("p -> p"), Axiom(AxiomId.TAUT)),
+                ProofLine(big, Axiom(AxiomId.TAUT)),
+            ),
+            None,
+        )
+        with pytest.raises(ProofError) as exc:
+            check(script)
+        assert (exc.value.line_index, exc.value.rule) == (1, "taut")
+        assert exc.value.reason == "boolean abstraction has 21 variables; at most 20 are supported"
+
     def test_bad_axiom_instance_rejected(self):
         script = ProofScript((ProofLine(parse("K p -> q"), Axiom(AxiomId.TRUTH)),), None)
         with pytest.raises(ProofError):
@@ -321,6 +335,20 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin("positive_introspection", 2)
 
+    def test_default_registry_checks_each_proof_once(self, monkeypatch):
+        import awarekit.proof
+
+        calls = []
+        real_check = awarekit.proof.check
+
+        def counting_check(script, registry=None):
+            calls.append(script)
+            return real_check(script, registry)
+
+        monkeypatch.setattr(awarekit.proof, "check", counting_check)
+        reg = default_registry()
+        assert len(calls) == len(reg.names()) == 11
+
     def test_conclusions_hold_semantically(self):
         scripts = [
             builtin("positive_introspection"),
@@ -392,6 +420,21 @@ class TestLiftKnowledge:
             assert check(out, reg) == Know(psi)
             if script.hypotheses:
                 assert out.hypotheses == tuple(Know(h) for h in script.hypotheses)
+
+    @pytest.mark.parametrize("hyps", [(), (P,)])
+    def test_bad_input_rejected_like_check(self, hyps):
+        script = ProofScript(
+            (
+                ProofLine(parse("p -> p"), Axiom(AxiomId.TAUT)),
+                ProofLine(Q, MP(0, 0)),
+            ),
+            hyps,
+        )
+        with pytest.raises(ProofError) as want:
+            check(script, Registry())
+        with pytest.raises(ProofError) as got:
+            lift_knowledge(script, Registry())
+        assert str(got.value) == str(want.value)
 
     def test_theorem_conclusions_are_sound(self):
         reg = Registry()
@@ -497,3 +540,63 @@ class TestProofFiles:
     def test_unknown_justification_rejected(self):
         with pytest.raises(ProofFileError):
             parse_proof("theorem t\n1: p -> p by magic\n")
+
+    def test_round_trip_every_keyword(self):
+        from awarekit.syntax import DeDicto, DeRe, instantiate
+
+        pp = parse("p -> p")
+        theorem = [
+            ProofLine(pp, Axiom(AxiomId.TAUT)),
+            *(
+                ProofLine(instantiate(AXIOM_SCHEMAS[ax], {"PHI": P, "PSI": Q}), Axiom(ax))
+                for ax in NON_TAUT_IDS
+            ),
+            ProofLine(Know(pp), Nec(0)),
+            ProofLine(Implies(DeDicto(P), DeDicto(P)), MonoD(0)),
+            ProofLine(Implies(DeRe(P), DeRe(P)), MonoR(0)),
+            ProofLine(parse("(p -> p) -> q -> p -> p"), Axiom(AxiomId.TAUT)),
+            ProofLine(parse("q -> p -> p"), MP(0, 14)),
+            ProofLine(parse("K q -> K K q"), Cite("positive_introspection", {"PHI": Q})),
+            ProofLine(parse("~~~false"), Cite("unaware_top_0")),
+        ]
+        scripts = [
+            ProofScript(tuple(theorem), None),
+            ProofScript((ProofLine(P, Hyp(0)),), (P,)),
+        ]
+        reg = default_registry()
+        texts = []
+        for script in scripts:
+            check(script, reg)
+            text = format_proof(script, "t")
+            assert parse_proof(text)[1] == script
+            texts.append(text)
+        used = {
+            line.rsplit(" by ", 1)[1].split()[0]
+            for text in texts
+            for line in text.splitlines()
+            if " by " in line
+        }
+        assert used == {ax.value for ax in AxiomId} | {"hyp", "mp", "nec", "monoD", "monoR", "cite"}
+        assert "by cite positive_introspection [PHI=q]\n" in texts[0]
+        assert "by cite unaware_top_0\n" in texts[0]
+
+    @pytest.mark.parametrize(
+        "just,count",
+        [
+            ("hyp", 1),
+            ("hyp 0", 1),
+            ("hyp 1 1", 1),
+            ("mp 1", 2),
+            ("mp 1 1 1", 2),
+            ("nec", 1),
+            ("nec x", 1),
+            ("monoD 1 2", 1),
+            ("monoR 1 2", 1),
+        ],
+        ids=lambda v: str(v).replace(" ", "_"),
+    )
+    def test_wrong_index_count_rejected(self, just, count):
+        with pytest.raises(ProofFileError) as exc:
+            parse_proof(f"from p\n1: p by hyp 1\n2: p by {just}\n")
+        keyword = just.split()[0]
+        assert str(exc.value) == f"proof file line 3: {keyword} takes {count} positive line number(s)"

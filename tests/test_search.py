@@ -252,6 +252,11 @@ class TestFuzz:
         with pytest.raises(ValueError):
             fuzz_soundness(0, 7, Bounds(2, 2, ("p",)), 2)
 
+    @pytest.mark.parametrize("instances", [0, -1])
+    def test_instances_must_be_positive(self, instances):
+        with pytest.raises(ValueError, match="instances_per_schema must be at least 1"):
+            fuzz_soundness(2, 7, Bounds(2, 2, ("p",)), 2, instances_per_schema=instances)
+
     def test_deterministic(self):
         a = fuzz_soundness(20, 5, Bounds(3, 3, ("p", "q")), 2)
         b = fuzz_soundness(20, 5, Bounds(3, 3, ("p", "q")), 2)

@@ -144,6 +144,14 @@ class TestTower:
         for n in range(4):
             assert modal_depth(awareness_tower(f, n)) == n + modal_depth(f)
 
+    @pytest.mark.parametrize(
+        "link,depth",
+        [("~", 0), ("K ", 10000), ("R ", 10000), ("D ", 10000), ("K p -> ", 1)],
+        ids=["not", "K", "R", "D", "implies"],
+    )
+    def test_modal_depth_of_deep_chains(self, link, depth):
+        assert modal_depth(parse(link * 10000 + "p")) == depth
+
 
 class TestSchemas:
     def test_match_truth_instance(self):
