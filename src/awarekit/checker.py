@@ -18,8 +18,10 @@ leaves are the variables of the boolean abstraction.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from .model import AgentNotPresentError, EpistemicModel, Point, _Skeleton
 from .syntax import (
@@ -147,11 +149,10 @@ def _widen(flags: bytearray, total_bits: int) -> int:
 
 
 # a block as (member slots, worlds, (member slot, its R witness slots) pairs)
-_Block = tuple[list[int], tuple[int, ...], list[tuple[int, list[int]]]]
-# what one pass needs: its blocks, each block's lane mask (None when every
-# lane uses every block), and the R steps as (member slot, witness slots),
-# each with its block's lane mask when there are masks
-_Layout = tuple[list[_Block], list[int] | None, list[tuple]]
+_Block = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
+# what one pass needs: its blocks and, parallel to them, each block's lane
+# mask, or None when every lane uses every block
+_Layout = tuple[tuple[_Block, ...], tuple[int, ...] | None]
 
 
 class _Frame:
@@ -169,12 +170,22 @@ class _Frame:
     able to witness an R step there (those whose row covers the block).
     A pass then gives each block it needs the mask of the lanes whose
     skeleton uses that block.
+
+    None of this depends on the formula.  A frame given a table builds
+    the layouts of all its passes at the first sweep and keeps them, so
+    later sweeps of the same width reuse them; the table maps each tuple
+    and lane mask the frame builds to one shared copy, so the frames of
+    one plan hold each only once.  Without a table, each pass's layout is
+    built as the pass comes and dropped after it.
     """
 
-    def __init__(self, run: Sequence[_Skeleton]):
-        first = run[0]
+    __slots__ = ("pairs", "m", "world_slots", "blocks", "uses", "_first", "_table", "_kept")
+
+    def __init__(self, run: Iterable[_Skeleton], table: dict | None = None):
+        run = iter(run)
+        first = next(run)
         W = first.world_count
-        self.pairs = first.pair_bits()
+        self.pairs = tuple(first.pair_bits())
         self.m = len(self.pairs)
         slot_of = {t: i for i, t in enumerate(self.pairs)}
         rows = [0] * first.agent_count
@@ -183,33 +194,88 @@ class _Frame:
             a, w = divmod(t, W)
             rows[a] |= 1 << w
             agents_at[w].append(a)
-        self.world_slots = [[slot_of[b * W + u] for b in agents_at[u]] for u in range(W)]
-        self.blocks: list[_Block] = []
-        self.uses: list[list[int]] = []  # per skeleton: indices of its blocks
-        index: dict[tuple[int, tuple[int, ...]], int] = {}
-        for sk in run:
-            used = []
+        self._first = first
+        self._table = table
+        share = (lambda x: x) if table is None else (lambda x: table.setdefault(x, x))
+        self.world_slots = tuple([share(tuple([slot_of[b * W + u] for b in agents_at[u]])) for u in range(W)])
+        blocks: list[_Block] = []
+        block_of: dict[tuple[int, tuple[int, ...]], int] = {}
+
+        def block(a: int, blk: tuple[int, ...]) -> int:
+            b = block_of.get((a, blk))
+            if b is None:
+                b = block_of[a, blk] = len(blocks)
+                cover = 0
+                for u in blk:
+                    cover |= 1 << u
+                slots = share(tuple([slot_of[a * W + u] for u in blk]))
+                reach = []
+                for s, u in zip(slots, blk):
+                    cands = tuple([slot_of[c * W + u] for c in agents_at[u] if cover & rows[c] == cover])
+                    reach.append(share((s, share(cands))))
+                blocks.append(share((slots, blk, tuple(reach))))
+            return b
+
+        # per agent: each partition some skeleton gives it -> its blocks
+        part_of: list[dict] = [{} for _ in rows]
+        uses: list[tuple[int, ...]] = []  # per skeleton: indices of its blocks
+        for sk in chain((first,), run):
+            used: tuple[int, ...] = ()
             for a, part in enumerate(sk.partitions):
-                for blk in part:
-                    b = index.get((a, blk))
-                    if b is None:
-                        b = index[a, blk] = len(self.blocks)
-                        cover = 0
-                        for u in blk:
-                            cover |= 1 << u
-                        slots = [slot_of[a * W + u] for u in blk]
-                        reach = [
-                            (s, [slot_of[c * W + u] for c in agents_at[u] if cover & rows[c] == cover])
-                            for s, u in zip(slots, blk)
-                        ]
-                        self.blocks.append((slots, blk, reach))
-                    used.append(b)
-            self.uses.append(used)
+                got = part_of[a].get(part)
+                if got is None:
+                    got = part_of[a][part] = tuple([block(a, blk) for blk in part])
+                used += got
+            uses.append(share(used))
+        self.blocks = tuple(blocks)
+        self.uses = tuple(uses)
+        # (total_bits, _CHUNK_BITS) and the layouts of every pass at them,
+        # kept when the frame has a table
+        self._kept: tuple[tuple[int, int], tuple[_Layout, ...]] | None = None
+
+    def skeleton(self, i: int) -> _Skeleton:
+        """Skeleton i of the run, rebuilt from the blocks it uses."""
+        W = self._first.world_count
+        parts: list[list[tuple[int, ...]]] = [[] for _ in range(self._first.agent_count)]
+        for b in self.uses[i]:
+            slots, blk, _ = self.blocks[b]
+            parts[self.pairs[slots[0]] // W].append(blk)
+        return replace(self._first, partitions=tuple(map(tuple, parts)))
 
     def plain(self, i: int) -> _Layout:
         """The layout of a pass that holds skeleton i alone."""
-        blocks = [self.blocks[b] for b in self.uses[i]]
-        return blocks, None, [step for _, _, reach in blocks for step in reach]
+        return tuple([self.blocks[b] for b in self.uses[i]]), None
+
+    def _lane_mask(self, flags: bytearray, total_bits: int) -> int:
+        if self._table is None:
+            return _widen(flags, total_bits)
+        key = (bytes(flags), total_bits)
+        mask = self._table.get(key)
+        if mask is None:
+            mask = self._table[key] = _widen(flags, total_bits)
+        return mask
+
+    def _layouts(self, total_bits: int) -> Iterator[_Layout]:
+        """The layouts of the run's passes in order (see _passes): one per
+        pass when passes hold whole skeletons, otherwise one per skeleton,
+        which serves every pass of that skeleton."""
+        if total_bits >= _CHUNK_BITS:
+            for i in range(len(self.uses)):
+                yield self.plain(i)
+            return
+        per_pass = 1 << (_CHUNK_BITS - total_bits)  # skeletons
+        for first in range(0, len(self.uses), per_pass):
+            group = self.uses[first : first + per_pass]
+            if len(group) == 1:
+                yield self.plain(first)
+                continue
+            # users[b][j] flags that skeleton first + j uses block b
+            users: dict[int, bytearray] = {}
+            for j, used in enumerate(group):
+                for b in used:
+                    users.setdefault(b, bytearray(len(group)))[j] = 1
+            blocks = tuple([self.blocks[b] for b in users])
+            yield blocks, tuple([self._lane_mask(flags, total_bits) for flags in users.values()])
 
     def _passes(self, total_bits: int) -> Iterator[tuple[int, int, list[int], _Layout]]:
         """Split the run's lanes into ascending passes of at most
@@ -226,28 +292,25 @@ class _Frame:
         width = 1 << _CHUNK_BITS
         low = min(total_bits, _CHUNK_BITS)
         end = len(self.uses) << total_bits
+        if self._table is None:
+            layouts = self._layouts(total_bits)
+        else:
+            key = (total_bits, _CHUNK_BITS)
+            if self._kept is None or self._kept[0] != key:
+                self._kept = key, tuple(self._layouts(total_bits))
+            layouts = iter(self._kept[1])
+        # a layout serves one pass, or every pass of one skeleton
+        serves = max(width, 1 << total_bits)
+        wide = [_pattern_column(t, _CHUNK_BITS) for t in range(low)]
         for start in range(0, end, width):
+            if start % serves == 0:
+                layout = next(layouts)
             n = min(width, end - start)
             full = (1 << n) - 1
-            bits = [_pattern_column(t, _CHUNK_BITS) & full for t in range(low)]
+            # the memoized columns are already as wide as a full pass
+            bits = wide[:] if n == width else [c & full for c in wide]
             bits += [full if start >> t & 1 else 0 for t in range(low, total_bits)]
-            first, last = start >> total_bits, (start + n - 1) >> total_bits
-            if first == last:
-                yield start, full, bits, self.plain(first)
-                continue
-            # users[b][j] flags that skeleton first + j uses block b
-            users: dict[int, bytearray] = {}
-            for j, used in enumerate(self.uses[first : last + 1]):
-                for b in used:
-                    users.setdefault(b, bytearray(last - first + 1))[j] = 1
-            blocks = [self.blocks[b] for b in users]
-            lanes = [_widen(flags, total_bits) for flags in users.values()]
-            steps = [
-                (s, cands, mask)
-                for (_, _, reach), mask in zip(blocks, lanes)
-                for s, cands in reach
-            ]
-            yield start, full, bits, (blocks, lanes, steps)
+            yield start, full, bits, layout
 
     def columns(
         self,
@@ -267,7 +330,7 @@ class _Frame:
         """
         m = self.m
         zero = [0] * m
-        blocks, lanes, steps = layout
+        blocks, lanes = layout
 
         def ev(node: Formula) -> list[int]:
             got = memo.get(id(node))
@@ -312,17 +375,19 @@ class _Frame:
                 child = ev(node.child)
                 out = [0] * m
                 if lanes is None:
-                    for s, cands in steps:
-                        acc = 0
-                        for c in cands:
-                            acc |= child[c]
-                        out[s] = acc
+                    for _, _, reach in blocks:
+                        for s, cands in reach:
+                            acc = 0
+                            for c in cands:
+                                acc |= child[c]
+                            out[s] = acc
                 else:
-                    for s, cands, mask in steps:
-                        acc = 0
-                        for c in cands:
-                            acc |= child[c]
-                        out[s] |= acc & mask
+                    for (_, _, reach), mask in zip(blocks, lanes):
+                        for s, cands in reach:
+                            acc = 0
+                            for c in cands:
+                                acc |= child[c]
+                            out[s] |= acc & mask
             elif isinstance(node, DeDicto):
                 child = ev(node.child)
                 inhabited = []

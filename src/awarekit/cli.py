@@ -182,6 +182,8 @@ def cmd_fuzz(args) -> int:
         return _die("--trials must be at least 1")
     if args.instances < 1:
         return _die("--instances must be at least 1")
+    if args.pool_depth < 0:
+        return _die("--pool-depth must be at least 0")
     props = tuple(args.props.split(","))
     try:
         bounds = Bounds(args.max_worlds, args.max_agents, props)

@@ -16,23 +16,40 @@ wide bitwise operations.  Lane order is enumeration order, so the lowest
 failing lane gives the first failing model; the witness point is its
 lowest failing pair in agent-major order, and it is re-verified against
 the reference checker before it leaves this module.
+
+The runs, their frames and each pass's block layout depend on the shape
+(world count, agent count), the number of propositions, prune and the
+pass width, never on the formula.  So a process that decides many
+formulas at one bound reuses them as a plan per shape, and each decision
+redoes only the formula work: the valuation columns, the evaluation, the
+lowest failing lane and the re-verification.  The first sweep that
+reaches the end of a shape counts its skeletons; the next one keeps the
+plan if the shape has at most _PLAN_SKELETONS (8,192) skeletons: (3,3)
+has 3,375 and (4,2) 2,704, but (4,3) has 140,608 and always streams.
+The plans kept hold at most that many skeletons in all, least recently
+used out first.  The plans of the (3,3) bound take about 0.7 MB with one
+proposition and 1 MB with two.  A process that decides once keeps
+nothing, and a sweep that stops at a witness keeps nothing of the shape
+it stopped in.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, product
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from . import checker
 from .checker import ModelEvaluator, _Frame, satisfies
 from .model import (
     Bounds,
     EpistemicModel,
     Point,
-    _iter_skeletons,
-    _iter_skeletons_wa,  # unused here; the benchmark's tracer wraps this name
+    _iter_skeletons,  # unused here; the benchmark's tracer wraps this name
+    _iter_skeletons_wa,
     _materialize,
     _scatter,
     random_model,
@@ -97,8 +114,47 @@ class AtomNotInBoundsError(ValueError):
 
 # ---------- bounded decisions ----------
 
-# skeletons of one shape share their slots and the agents at each world
-_shape = attrgetter("world_count", "agent_count", "presence_mask")
+# plans and shape sizes by (W, A, number of props, prune, _CHUNK_BITS);
+# see the module docstring
+_PLAN_SKELETONS = 8192
+_sizes: dict[tuple, int] = {}  # key -> skeleton count, once swept to the end
+_plans: dict[tuple, tuple[_Frame, ...]] = {}  # least recently used first
+_plans_lock = threading.Lock()
+
+
+def _runs(worlds: int, agents: int, nprops: int, prune: bool) -> Iterator[_Frame]:
+    """The frames of the runs of one (worlds, agents) shape in enumeration
+    order: from the shape's kept plan, or else built as the skeletons
+    stream in.  Only a sweep that reaches the end of the shape records or
+    keeps anything, so one that stops at a witness leaves no partial plan."""
+    key = (worlds, agents, nprops, prune, checker._CHUNK_BITS)
+    with _plans_lock:
+        plan = _plans.pop(key, None)
+        if plan is not None:
+            _plans[key] = plan
+        size = _sizes.get(key)
+    if plan is not None:
+        yield from plan
+        return
+    keep = size is not None and size <= _PLAN_SKELETONS
+    table: dict | None = {} if keep else None
+    frames: list[_Frame] = []
+    count = 0
+    for _, group in groupby(_iter_skeletons_wa(worlds, agents, prune), attrgetter("presence_mask")):
+        frame = _Frame(group, table)
+        count += len(frame.uses)
+        if keep:
+            frames.append(frame)
+        yield frame
+    with _plans_lock:
+        _sizes[key] = count
+        if keep:
+            _plans[key] = tuple(frames)
+            total = sum(_sizes[k] for k in _plans)
+            while total > _PLAN_SKELETONS:
+                oldest = next(iter(_plans))
+                total -= _sizes[oldest]
+                del _plans[oldest]
 
 
 def _scan(
@@ -106,9 +162,8 @@ def _scan(
 ) -> tuple[int, tuple[EpistemicModel, Point] | None]:
     props = bounds.props
     checked = 0
-    for _, group in groupby(_iter_skeletons(bounds, prune), _shape):
-        run = list(group)
-        frame = _Frame(run)
+    shapes = product(range(1, bounds.max_worlds + 1), range(1, bounds.max_agents + 1))
+    for frame in chain.from_iterable(_runs(w, a, len(props), prune) for w, a in shapes):
         m = frame.m
         total = len(props) * m
         # the first proposition is most significant: valuation bit
@@ -118,11 +173,11 @@ def _scan(
             f, total, lambda bits: ({p: bits[lo : lo + m] for p, lo in lows}, {})
         )
         if hit is None:
-            checked += len(run) << total
+            checked += len(frame.uses) << total
             continue
         lane, slot = hit
         checked += lane
-        sk, index = run[lane >> total], lane & ((1 << total) - 1)
+        sk, index = frame.skeleton(lane >> total), lane & ((1 << total) - 1)
         masks = tuple(_scatter(index >> lo & ((1 << m) - 1), frame.pairs) for _, lo in lows)
         model = _materialize(sk, masks, props)
         a, w = divmod(frame.pairs[slot], sk.world_count)
@@ -240,6 +295,8 @@ def fuzz_soundness(
         raise ValueError("trials must be at least 1")
     if instances_per_schema < 1:
         raise ValueError("instances_per_schema must be at least 1")
+    if pool_depth < 0:
+        raise ValueError("pool_depth must be at least 0")
     if schemas is None:
         schemas = default_fuzz_schemas()
     rng = random.Random(seed)

@@ -211,6 +211,10 @@ class TestFuzz:
         code, out, err = run(capsys, "fuzz", "--trials", "2", "--instances", instances)
         assert (code, out, err) == (2, "", "error: --instances must be at least 1\n")
 
+    def test_negative_pool_depth_exits_two(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--trials", "2", "--pool-depth", "-1")
+        assert (code, out, err) == (2, "", "error: --pool-depth must be at least 0\n")
+
     def test_byte_identical_reruns(self, capsys):
         a = run(capsys, "fuzz", "--trials", "15", "--seed", "9", "--json")
         b = run(capsys, "fuzz", "--trials", "15", "--seed", "9", "--json")

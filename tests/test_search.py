@@ -241,6 +241,168 @@ class TestPackedRuns:
                 assert (got.model, got.point) == want, render(f)
 
 
+@pytest.fixture
+def clear_plans():
+    """Forget every kept plan and shape size, before and after the test."""
+    from awarekit import search
+
+    def clear():
+        search._plans.clear()
+        search._sizes.clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def _witness_shape(verdict):
+    return verdict.model.world_count, verdict.model.agent_count
+
+
+class TestPlanReuse:
+    # decisions at one bound share each (worlds, agents) shape's frames and
+    # pass layouts: a shape is measured by the first sweep that reaches its
+    # end, kept by the next one and reused from then on
+    CASES = [
+        ("K p -> p", Bounds(2, 2, ("p",)), False),
+        ("D p -> R p", Bounds(2, 2, ("p", "q")), True),  # witness in (2,2), presence 7 of 15
+        ("~D ~K p -> ~R ~D p", Bounds(3, 2, ("p",)), False),  # witness in (3,2), presence 31 of 63
+        ("K ~R p -> ~D K p", Bounds(3, 2, ("p",)), True),
+        ("R (p & q) -> R p & R q", Bounds(2, 2, ("p", "q")), False),
+        ("~R ~R p -> ~D ~R p", Bounds(3, 2, ("p", "q")), True),  # witness in (3,2), presence 29 of 63
+        ("K ~R p -> ~D K p", Bounds(3, 2, ("p",)), False),
+        ("D p -> R p", Bounds(3, 2, ("p",)), False),
+    ]
+
+    def cold(self, clear_plans):
+        out = []
+        for text, bounds, prune in self.CASES:
+            clear_plans()
+            out.append(decide_bounded(parse(text), bounds, prune))
+        clear_plans()
+        return out
+
+    def test_repeated_and_interleaved_decisions_match_cold_runs(self, clear_plans, monkeypatch):
+        from awarekit import search
+
+        want = self.cold(clear_plans)
+        enumerated = []
+        wa = search._iter_skeletons_wa
+
+        def counting(*args):
+            enumerated.append(args)
+            return wa(*args)
+
+        monkeypatch.setattr(search, "_iter_skeletons_wa", counting)
+        order = list(range(len(self.CASES)))
+        for rounds in (order, order[::-1]):
+            for i in rounds:
+                text, bounds, prune = self.CASES[i]
+                assert decide_bounded(parse(text), bounds, prune) == want[i], text
+        # each shape a valid case sweeps has now been swept twice, so kept
+        for i in order:
+            text, bounds, prune = self.CASES[i]
+            enumerated.clear()
+            got = decide_bounded(parse(text), bounds, prune)
+            assert got == want[i], text
+            if isinstance(got, ValidUpToBounds):
+                assert enumerated == [], text
+
+    def test_witness_partway_keeps_no_partial_plan(self, clear_plans):
+        from awarekit import search
+
+        f, bounds = parse("~D ~K p -> ~R ~D p"), Bounds(3, 2, ("p",))
+        for _ in range(3):
+            v = decide_bounded(f, bounds)
+        assert isinstance(v, Countermodel) and _witness_shape(v) == (3, 2)
+        kept = {key[:2] for key in search._plans}
+        # every shape before the witness's is kept; the witness's is neither
+        # kept nor even measured, since no sweep reached its end
+        assert kept == {(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)}
+        assert (3, 2) not in {key[:2] for key in search._sizes}
+
+    @pytest.mark.parametrize("cap", [100, 30], ids=["one-shape-over", "total-over"])
+    def test_cap(self, clear_plans, monkeypatch, cap):
+        from awarekit import search
+        from awarekit.checker import _CHUNK_BITS
+
+        # shapes of Bounds(2, 3): (1,1) 2, (1,2) 4, (1,3) 8, (2,1) 5,
+        # (2,2) 25 and (2,3) 125 skeletons, 169 in all
+        bounds = Bounds(2, 3, ("p",))
+        texts = ["K p -> p", "D p -> R p", "K ~R p -> ~D K p", "R K p -> K R p"]
+        want = []
+        for t in texts:
+            clear_plans()
+            want.append(decide_bounded(parse(t), bounds))
+        clear_plans()
+        monkeypatch.setattr(search, "_PLAN_SKELETONS", cap)
+        for _ in range(3):
+            assert [decide_bounded(parse(t), bounds) for t in texts] == want
+        assert search._sizes[2, 3, 1, False, _CHUNK_BITS] == 125
+        assert (2, 3) not in {key[:2] for key in search._plans}
+        assert search._plans
+        assert sum(search._sizes[key] for key in search._plans) <= cap
+
+    def test_concurrent_decisions_agree(self, clear_plans, monkeypatch):
+        # threads share the plans; a small cap makes them evict each other's
+        import sys
+        import threading
+
+        from awarekit import search
+
+        cases = [
+            ("K p -> p", Bounds(2, 2, ("p",)), False),
+            ("D p -> R p", Bounds(2, 2, ("p",)), True),
+            ("K ~R p -> ~D K p", Bounds(2, 3, ("p",)), False),
+        ]
+        want = []
+        for text, bounds, prune in cases:
+            clear_plans()
+            want.append(decide_bounded(parse(text), bounds, prune))
+        clear_plans()
+        monkeypatch.setattr(search, "_PLAN_SKELETONS", 30)
+        wrong: list = []
+
+        def work(k):
+            try:
+                for i in range(60):
+                    text, bounds, prune = cases[(i + k) % len(cases)]
+                    if decide_bounded(parse(text), bounds, prune) != want[(i + k) % len(cases)]:
+                        wrong.append((k, i))
+            except Exception as exc:  # reported below, with the thread's place
+                wrong.append((k, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert sum(search._sizes[key] for key in search._plans) <= 30
+
+    def test_no_reference_cycles_on_any_path(self, clear_plans):
+        # a streaming sweep, one that keeps the plan and one that reuses it
+        import gc
+
+        f, bounds = parse("K p -> p"), Bounds(2, 2, ("p",))
+        decide_bounded(f, bounds)  # fill the enumeration caches first
+        clear_plans()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                decide_bounded(f, bounds)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestFuzz:
     def test_zero_violations_on_the_axioms(self):
         report = fuzz_soundness(60, 7, Bounds(4, 4, ("p", "q", "r")), 3)
@@ -256,6 +418,10 @@ class TestFuzz:
     def test_instances_must_be_positive(self, instances):
         with pytest.raises(ValueError, match="instances_per_schema must be at least 1"):
             fuzz_soundness(2, 7, Bounds(2, 2, ("p",)), 2, instances_per_schema=instances)
+
+    def test_pool_depth_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="pool_depth must be at least 0"):
+            fuzz_soundness(2, 7, Bounds(2, 2, ("p",)), -1)
 
     def test_deterministic(self):
         a = fuzz_soundness(20, 5, Bounds(3, 3, ("p", "q")), 2)
