@@ -344,24 +344,17 @@ def _pair_bit(agent: int, world: int, world_count: int) -> int:
 @lru_cache(maxsize=None)
 def _set_partitions(elems: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All partitions of elems, in restricted-growth-string order (coarsest first)."""
-    if not elems:
-        return ((),)
-    out: list[tuple[tuple[int, ...], ...]] = []
-    blocks: list[list[int]] = [[elems[0]]]
-
-    def rec(i: int):
-        if i == len(elems):
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for j in range(len(blocks)):
-            blocks[j].append(elems[i])
-            rec(i + 1)
-            blocks[j].pop()
-        blocks.append([elems[i]])
-        rec(i + 1)
-        blocks.pop()
-
-    rec(1)
+    # growth strings in lexicographic order: element i joins block g[i],
+    # an existing block or the next new one
+    strings = [()]
+    for _ in elems:
+        strings = [g + (b,) for g in strings for b in range(max(g, default=-1) + 2)]
+    out = []
+    for g in strings:
+        blocks: list[list[int]] = [[] for _ in range(max(g, default=-1) + 1)]
+        for e, b in zip(elems, g):
+            blocks[b].append(e)
+        out.append(tuple(map(tuple, blocks)))
     return tuple(out)
 
 

@@ -18,6 +18,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import lru_cache
 
 from .syntax import (
     Atom,
@@ -692,7 +693,18 @@ _PHI = MetaVar("PHI")
 def default_registry() -> Registry:
     """Registry preloaded with the builtin derivations at small depths.
 
-    The builders run unchecked: register checks each proof."""
+    The builtins are built and checked once per process; each call returns
+    a new registry holding them, so what is registered into one registry
+    never reaches another."""
+    reg = Registry()
+    reg._entries.update(_builtin_entries())
+    return reg
+
+
+@lru_cache(maxsize=None)
+def _builtin_entries() -> tuple[tuple[str, TheoremEntry], ...]:
+    """The builtin theorems, each proof checked as it is registered; the
+    builders run unchecked."""
     reg = Registry()
     reg.register(
         "positive_introspection",
@@ -716,7 +728,7 @@ def default_registry() -> Registry:
             _builtin_mono_a(m, n),
             {"PHI": _P},
         )
-    return reg
+    return tuple(reg._entries.items())
 
 
 # ---------- proof files ----------

@@ -241,7 +241,19 @@ class FuzzReport:
         return not self.violations
 
 
-_NODE_KINDS = ("atom", "false", "not", "implies", "and", "or", "K", "R", "D")
+# node kinds by name with their class and arity; the order fixes the draws
+_KINDS = {
+    "atom": (Atom, 0),
+    "false": (Falsum, 0),
+    "not": (Not, 1),
+    "implies": (Implies, 2),
+    "and": (And, 2),
+    "or": (Or, 2),
+    "K": (Know, 1),
+    "R": (DeRe, 1),
+    "D": (DeDicto, 1),
+}
+_NODE_KINDS = tuple(_KINDS)
 _LEAF_KINDS = ("atom", "false")
 
 
@@ -250,23 +262,11 @@ def random_formula(rng: random.Random, props: Sequence[str], max_depth: int) -> 
     kind = rng.choice(_LEAF_KINDS if max_depth <= 0 else _NODE_KINDS)
     if kind == "atom":
         return Atom(rng.choice(list(props)))
-    if kind == "false":
-        return Falsum()
-    if kind == "not":
-        return Not(random_formula(rng, props, max_depth - 1))
-    if kind == "K":
-        return Know(random_formula(rng, props, max_depth - 1))
-    if kind == "R":
-        return DeRe(random_formula(rng, props, max_depth - 1))
-    if kind == "D":
-        return DeDicto(random_formula(rng, props, max_depth - 1))
-    left = random_formula(rng, props, max_depth - 1)
-    right = random_formula(rng, props, max_depth - 1)
-    if kind == "implies":
-        return Implies(left, right)
-    if kind == "and":
-        return And(left, right)
-    return Or(left, right)
+    node, arity = _KINDS[kind]
+    if arity == 2:
+        left = random_formula(rng, props, max_depth - 1)
+        return node(left, random_formula(rng, props, max_depth - 1))
+    return node(random_formula(rng, props, max_depth - 1)) if arity else node()
 
 
 def default_fuzz_schemas() -> list[tuple[str, Formula]]:
@@ -302,11 +302,11 @@ def fuzz_soundness(
     rng = random.Random(seed)
     checked = 0
     violations: list[FuzzViolation] = []
+    schemas = [(schema_id, schema, sorted(metavariables(schema))) for schema_id, schema in schemas]
     for _ in range(trials):
         model = random_model(rng.getrandbits(64), bounds)
         evaluator = ModelEvaluator(model)
-        for schema_id, schema in schemas:
-            mvs = sorted(metavariables(schema))
+        for schema_id, schema, mvs in schemas:
             for _ in range(instances_per_schema):
                 subst = {mv: random_formula(rng, bounds.props, pool_depth) for mv in mvs}
                 instance = instantiate(schema, subst)

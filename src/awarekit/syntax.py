@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 __all__ = [
     "Formula",
@@ -321,44 +320,42 @@ def parse(text: str) -> Formula:
 
 # ---------- printing ----------
 
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
+# each operator's text, its precedence, and the least precedence each
+# operand may have without parentheses: the unary operators bind tightest,
+# & and | associate to the left and -> to the right
+_OPERATORS = {
+    Not: ("~", 4, (4,)),
+    Know: ("K ", 4, (4,)),
+    DeRe: ("R ", 4, (4,)),
+    DeDicto: ("D ", 4, (4,)),
+    And: (" & ", 3, (3, 4)),
+    Or: (" | ", 2, (2, 3)),
+    Implies: (" -> ", 1, (2, 1)),
+}
+_LEAF_PREC = 5
 
 
 def render(f: Formula) -> str:
     """Print a formula with minimal parentheses; parse(render(f)) == f."""
-    return _render(f, _PREC_IMPLIES)
-
-
-def _render(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Atom) or isinstance(f, MetaVar):
-        return f.name
-    if isinstance(f, Falsum):
-        return "false"
-    if isinstance(f, Not):
-        s, prec = "~" + _render(f.child, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(f, Know):
-        s, prec = "K " + _render(f.child, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(f, DeRe):
-        s, prec = "R " + _render(f.child, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(f, DeDicto):
-        s, prec = "D " + _render(f.child, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(f, And):
-        # left associative: the right operand needs parens if it is an And
-        s = _render(f.left, _PREC_AND) + " & " + _render(f.right, _PREC_AND + 1)
-        prec = _PREC_AND
-    elif isinstance(f, Or):
-        s = _render(f.left, _PREC_OR) + " | " + _render(f.right, _PREC_OR + 1)
-        prec = _PREC_OR
-    elif isinstance(f, Implies):
-        # right associative
-        s = _render(f.left, _PREC_IMPLIES + 1) + " -> " + _render(f.right, _PREC_IMPLIES)
-        prec = _PREC_IMPLIES
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    return "(" + s + ")" if prec < min_prec else s
+    entries = _program([f])[0]
+    # an operand's text is dropped at its last use, so a chain holds the
+    # text of one level at a time
+    last = {c: i for i, (kind, *args) in enumerate(entries) if kind in _OPERATORS for c in args}
+    text: list[str | None] = []
+    prec: list[int] = []
+    for i, (kind, *args) in enumerate(entries):
+        if kind not in _OPERATORS:
+            text.append(args[0])
+            prec.append(_LEAF_PREC)
+            continue
+        sym, p, least = _OPERATORS[kind]
+        parts = [text[c] if prec[c] >= m else f"({text[c]})" for c, m in zip(args, least)]
+        for c in args:
+            if last[c] == i:
+                text[c] = None
+        text.append(sym.join(parts) if len(parts) == 2 else sym + parts[0])
+        prec.append(p)
+    return text[-1]
 
 
 # ---------- derived forms and schema tools ----------
@@ -388,21 +385,19 @@ def match_schema(schema: Formula, f: Formula) -> dict[str, Formula] | None:
     None when no match exists.
     """
     subst: dict[str, Formula] = {}
-    if _match(schema, f, subst):
-        return subst
-    return None
-
-
-def _match(schema: Formula, f: Formula, subst: dict[str, Formula]) -> bool:
-    if isinstance(schema, MetaVar):
-        bound = subst.get(schema.name)
-        if bound is None:
-            subst[schema.name] = f
-            return True
-        return bound == f
-    if type(schema) is not type(f):
-        return False
-    return all(_match(s, g, subst) for s, g in zip(children(schema), children(f)))
+    # the pairs left to compare, leftmost on top
+    stack = [(schema, f)]
+    while stack:
+        s, g = stack.pop()
+        if isinstance(s, MetaVar):
+            bound = subst.setdefault(s.name, g)
+            if bound is not g and bound != g:
+                return None
+        elif type(s) is not type(g) or getattr(s, "name", None) != getattr(g, "name", None):
+            return None
+        else:
+            stack += zip(children(s)[::-1], children(g)[::-1])
+    return subst
 
 
 def instantiate(schema: Formula, subst: dict[str, Formula]) -> Formula:
@@ -421,89 +416,71 @@ def instantiate(schema: Formula, subst: dict[str, Formula]) -> Formula:
     return schema
 
 
-def subformula_closure(f: Formula) -> set[Formula]:
-    """All subtrees of f, including f itself."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if node in out:
-            continue
-        out.add(node)
-        stack.extend(children(node))
-    return out
+def _program(roots: list[Formula]) -> tuple[list[tuple], dict[int, int], list[Formula]]:
+    """The formulas under roots as one post-order program, built bottom-up
+    without recursion or hashing a node.
 
-
-def _nodes(f: Formula, opaque: tuple[type, ...] = ()) -> Iterator[Formula]:
-    """Each node object of f once, by identity, never hashing a node, so
-    deep trees are safe; nodes of the opaque types are not descended into."""
-    seen: set[int] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        if not isinstance(node, opaque):
-            stack.extend(children(node))
-
-
-def _shapes(roots: list[Formula]) -> dict[int, int]:
-    """Number the nodes under roots by structure, bottom-up and without
-    recursion or hashing a node: two nodes get the same number iff they are
-    equal trees.  Keyed by node id; the roots must outlive the result."""
-    number: dict[int, int] = {}
-    table: dict[tuple, int] = {}
+    Returns the entries, each (kind, child entries...) or (kind, name) for a
+    leaf, where kind is the node class, false is Falsum's name and a child
+    entry is an index that comes before its parent; then the entry of each
+    node id; then one node per entry.  Equal subtrees share one entry, so
+    two nodes get the same entry iff they are equal trees, and a single
+    root's entry is the last.  The roots must outlive the result, which is
+    keyed by node id.
+    """
+    index: dict[tuple, int] = {}  # entry -> its position, in post-order
+    entry_of: dict[int, int] = {}
+    nodes: list[Formula] = []
     stack = list(roots)
     while stack:
         node = stack.pop()
-        if id(node) in number:
+        if id(node) in entry_of:
             continue
         kind = type(node)
-        # a node whose children are not numbered yet waits under them
+        # a node whose children have no entry yet waits under them
         if kind in _UNARY:
-            child = number.get(id(node.child))
+            child = entry_of.get(id(node.child))
             if child is None:
                 stack += (node, node.child)
                 continue
-            key = (kind, child)
+            entry = (kind, child)
         elif kind in _BINARY:
-            left, right = number.get(id(node.left)), number.get(id(node.right))
+            left, right = entry_of.get(id(node.left)), entry_of.get(id(node.right))
             if left is None or right is None:
-                stack += (node, node.left, node.right)
+                stack += (node, node.right, node.left)
                 continue
-            key = (kind, left, right)
+            entry = (kind, left, right)
+        elif kind in (Atom, MetaVar, Falsum):
+            entry = (kind, getattr(node, "name", "false"))
         else:
-            key = (kind, getattr(node, "name", None))
-        number[id(node)] = table.setdefault(key, len(table))
-    return number
+            raise TypeError(f"not a formula node: {node!r}")
+        i = index.setdefault(entry, len(nodes))
+        if i == len(nodes):
+            nodes.append(node)
+        entry_of[id(node)] = i
+    return list(index), entry_of, nodes
+
+
+def subformula_closure(f: Formula) -> set[Formula]:
+    """All subtrees of f, including f itself."""
+    return set(_program([f])[2])
 
 
 def atoms(f: Formula) -> set[str]:
-    return {n.name for n in _nodes(f) if isinstance(n, Atom)}
+    return {e[1] for e in _program([f])[0] if e[0] is Atom}
 
 
 def metavariables(f: Formula) -> set[str]:
-    return {n.name for n in _nodes(f) if isinstance(n, MetaVar)}
+    return {e[1] for e in _program([f])[0] if e[0] is MetaVar}
 
 
 def modal_depth(f: Formula) -> int:
-    """The deepest nesting of K, R and D in f, found without recursion;
-    each shared node object is measured once."""
-    depth: dict[int, int] = {}
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        kids = children(node)
-        pending = [k for k in kids if id(k) not in depth]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        below = max((depth[id(k)] for k in kids), default=0)
-        depth[id(node)] = below + isinstance(node, _MODAL)
-    return depth[id(f)]
+    """The deepest nesting of K, R and D in f."""
+    depth: list[int] = []
+    for kind, *args in _program([f])[0]:
+        below = max((depth[c] for c in args), default=0) if kind in _OPERATORS else 0
+        depth.append(below + (kind in _MODAL))
+    return depth[-1]
 
 
 MAX_TAUTOLOGY_VARIABLES = 20
@@ -520,15 +497,27 @@ def is_tautology(f: Formula) -> bool:
     over a one-pair frame, each variable's column seeded as a leaf, so the
     engine never descends into a variable.
     """
-    tops = [n for n in _nodes(f, _UNITS) if isinstance(n, _UNITS)]
-    shape = _shapes(tops)
-    units: dict[int, int] = {}  # shape number -> variable
-    unit_of = {id(n): units.setdefault(shape[id(n)], len(units)) for n in tops}
+    entries, entry_of, _ = _program([f])
+    # from the root down, every entry before its children: the units
+    # reached without passing through a unit are the variables
+    reached = {len(entries) - 1}
+    units: dict[int, int] = {}  # entry -> variable
+    for i in range(len(entries) - 1, -1, -1):
+        if i not in reached:
+            continue
+        kind, *args = entries[i]
+        if kind in _UNITS:
+            units[i] = len(units)
+        elif kind in _OPERATORS:
+            reached.update(args)
     if len(units) > MAX_TAUTOLOGY_VARIABLES:
         raise ValueError(
             f"boolean abstraction has {len(units)} variables; "
             f"at most {MAX_TAUTOLOGY_VARIABLES} are supported"
         )
+    # every node of a variable's entry is seeded, so the engine stops at
+    # each occurrence, whichever node object it is
+    unit_of = {k: units[e] for k, e in entry_of.items() if e in units}
 
     def leaves(bits: list[int]):
         return {}, {k: [bits[j]] for k, j in unit_of.items()}

@@ -267,6 +267,11 @@ class TestExpand:
         code, _, _ = run(capsys, "expand", "p &", "1")
         assert code == 2
 
+    def test_deep_chain(self, capsys):
+        text = "~" * 10000 + "p"
+        code, out, _ = run(capsys, "expand", text, "0")
+        assert code == 0 and out == text + "\n"
+
 
 class TestUsage:
     @pytest.mark.parametrize(

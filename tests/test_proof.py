@@ -346,8 +346,21 @@ class TestBuiltins:
             return real_check(script, registry)
 
         monkeypatch.setattr(awarekit.proof, "check", counting_check)
+        awarekit.proof._builtin_entries.cache_clear()
         reg = default_registry()
         assert len(calls) == len(reg.names()) == 11
+        # the checked builtins are kept for the rest of the process
+        calls.clear()
+        assert default_registry().names() == reg.names()
+        assert calls == []
+
+    def test_registering_into_one_registry_leaves_the_next_unchanged(self):
+        reg, other = default_registry(), default_registry()
+        builtins = other.names()
+        script = ProofScript((ProofLine(P, Hyp(0)),), (P,))
+        lift_knowledge(script, reg)
+        assert len(reg.names()) == len(builtins) + 1
+        assert other.names() == default_registry().names() == builtins
 
     def test_conclusions_hold_semantically(self):
         scripts = [

@@ -128,6 +128,21 @@ class TestDecideBounded:
         finally:
             gc.enable()
 
+    def test_cold_enumeration_leaves_no_reference_cycles(self, clear_plans):
+        # a sweep served from a kept plan would not enumerate at all
+        import gc
+
+        from awarekit.model import _set_partitions
+
+        _set_partitions.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            decide_bounded(parse("K p -> p"), Bounds(2, 2, ("p",)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_runs_twice_identically(self):
         f = parse("D p -> R p")
         a = decide_bounded(f, Bounds(3, 3, ("p",)))

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awarekit.syntax import (
     And,
@@ -26,6 +27,7 @@ from awarekit.syntax import (
     render,
     subformula_closure,
 )
+from awarekit.syntax import _program
 
 from conftest import formulas
 
@@ -126,6 +128,27 @@ class TestRender:
     def test_round_trip(self, f):
         assert parse(render(f)) == f
 
+    @pytest.mark.parametrize(
+        "link,names", [("~", {"q"}), ("p -> ", {"p", "q"})], ids=["not", "implies"]
+    )
+    def test_deep_boolean_chains(self, link, names):
+        text = link * 10000 + "q"
+        f = parse(text)
+        assert render(f) == text
+        assert atoms(f) == names
+
+    @pytest.mark.parametrize("link", ["K ", "R ", "D "], ids=["K", "R", "D"])
+    def test_deep_modal_chains(self, link):
+        text = link * 10000 + "(p -> PHI)"
+        f, copy = parse(text), parse(text)
+        assert render(f) == text
+        assert modal_depth(f) == 10000
+        assert atoms(f) == {"p"}
+        assert metavariables(f) == {"PHI"}
+        # the top unit is the whole chain, so the engine never descends
+        assert not is_tautology(f)
+        assert is_tautology(Implies(f, copy))
+
 
 class TestTower:
     def test_zero_is_identity(self):
@@ -187,6 +210,20 @@ class TestSchemas:
             got = match_schema(schema, target)
             assert got is not None
             assert instantiate(schema, got) == target
+
+    def test_concrete_atoms_must_agree(self):
+        assert match_schema(parse("p"), parse("q")) is None
+        assert match_schema(parse("K p -> PHI"), parse("K q -> r")) is None
+        assert match_schema(parse("K p -> PHI"), parse("K p -> r")) == {"PHI": Atom("r")}
+
+    @pytest.mark.parametrize(
+        "link", ["~", "K ", "R ", "D ", "K p -> "], ids=["not", "K", "R", "D", "implies"]
+    )
+    def test_deep_chains(self, link):
+        schema = parse(link * 10000 + "PHI")
+        assert match_schema(schema, parse(link * 10000 + "q")) == {"PHI": Q}
+        assert match_schema(parse(link * 10000 + "p"), parse(link * 10000 + "q")) is None
+        assert match_schema(schema, parse(link * 9999 + "q")) is None
 
 
 def _units(f):
@@ -277,6 +314,33 @@ class TestTautology:
     @given(formulas(max_depth=3))
     def test_excluded_middle_always_holds(self, f):
         assert is_tautology(Or(f, Not(f)))
+
+
+class TestProgram:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        formulas(props=("p",), max_depth=2),
+        formulas(props=("p",), max_depth=2),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    def test_same_entry_iff_equal(self, f, g, m, n):
+        # awareness towers share each level's subtree between R and D
+        f, g = awareness_tower(f, m), awareness_tower(g, n)
+        copy = parse(render(f))
+        entries, entry_of, nodes = _program([f, g, copy])
+        assert (entry_of[id(f)] == entry_of[id(g)]) == (f == g)
+        assert entry_of[id(copy)] == entry_of[id(f)]
+        assert len(set(nodes)) == len(nodes) == len(entries)
+        for i, (kind, *args) in enumerate(entries):
+            assert type(nodes[i]) is kind
+            assert entry_of[id(nodes[i])] == i
+            if kind not in (Atom, Falsum):
+                assert all(c < i for c in args)
+
+    def test_tower_shares_each_level(self):
+        entries, _, _ = _program([awareness_tower(P, 40)])
+        assert len(entries) == 1 + 3 * 40
 
 
 class TestClosure:
