@@ -9,11 +9,12 @@ that share world count, agent count and presence, and evaluates a formula
 over all of them under all valuations at once: each present pair gets one
 integer column whose bit i * 2**total + v, a lane, says "true in skeleton
 i of the run under valuation v".  ``ModelEvaluator`` runs a concrete model
-as a run of one skeleton under its one valuation, so its columns are
-single bits; the bounded search in ``awarekit.search`` sweeps each
-presence mask's run of skeletons under every valuation; and
-``is_tautology`` in ``awarekit.syntax`` runs on a one-pair frame whose
-leaves are the variables of the boolean abstraction.
+as a run of one skeleton under its one valuation: a column of one formula
+is a single bit, and the instances of a schema run as the lanes of one
+column, lane j for substitution j; the bounded search in
+``awarekit.search`` sweeps each presence mask's run of skeletons under
+every valuation; and ``is_tautology`` in ``awarekit.syntax`` runs on a
+one-pair frame whose leaves are the variables of the boolean abstraction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import AgentNotPresentError, EpistemicModel, Point, _Skeleton
 from .syntax import (
@@ -36,6 +37,8 @@ from .syntax import (
     MetaVar,
     Not,
     Or,
+    UnboundMetavariableError,
+    children,
     render,
 )
 
@@ -125,6 +128,7 @@ def satisfies_naive(m: EpistemicModel, pt: Point, f: Formula) -> bool:
 # ---------- the column engine ----------
 
 _CHUNK_BITS = 16  # at most 2**16 lanes evaluated per pass
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @lru_cache(maxsize=None)
@@ -314,14 +318,15 @@ class _Frame:
 
     def columns(
         self,
-        f: Formula,
+        roots: Sequence[Formula],
         atoms: dict[str, list[int]],
         full: int,
         memo: dict[int, list[int]],
         layout: _Layout,
-    ) -> list[int]:
-        """Column per slot: bit l set iff f holds at the slot's pair in
-        lane l of the pass whose lanes are the bits of full.
+    ) -> list[list[int]]:
+        """Per root, its column per slot: bit l set iff the root holds at
+        the slot's pair in lane l of the pass whose lanes are the bits of
+        full.
 
         atoms gives each proposition's column per slot; one it lacks is
         false everywhere.  memo maps node ids to columns already known, so
@@ -418,7 +423,7 @@ class _Frame:
             return out
 
         try:
-            return ev(f)
+            return [ev(f) for f in roots]
         finally:
             # ev holds itself through its closure; without this the cycle
             # keeps the pass's columns alive until the cyclic collector runs
@@ -440,7 +445,7 @@ class _Frame:
         """
         for start, full, bits, layout in self._passes(total_bits):
             atoms, memo = leaves(bits)
-            result = self.columns(f, atoms, full, memo, layout)
+            [result] = self.columns([f], atoms, full, memo, layout)
             ok = full
             for c in result:
                 ok &= c
@@ -456,11 +461,13 @@ class ModelEvaluator:
     """Batch evaluation over one model: extensions as pair bitmasks.
 
     Pair (agent a, world w) is bit a * world_count + w.  The model runs on
-    the column engine as its skeleton under its one valuation, so every
-    column is a single bit.  Constructing the evaluator builds that frame
-    once, so evaluating many formulas against the same model does no
-    repeated structural work.  A model that breaks the laws checked by
-    EpistemicModel.validate() raises ValueError naming the violations.
+    the column engine as its skeleton under its one valuation, so the
+    column of one formula is a single bit; first_failures runs many
+    instances of a schema at once, one lane each.  Constructing the
+    evaluator builds that frame once, so evaluating many formulas against
+    the same model does no repeated structural work.  A model that breaks
+    the laws checked by EpistemicModel.validate() raises ValueError naming
+    the violations.
     """
 
     def __init__(self, m: EpistemicModel):
@@ -482,7 +489,7 @@ class ModelEvaluator:
         }
 
     def _columns(self, f: Formula) -> list[int]:
-        return self._frame.columns(f, self._atoms, 1, {}, self._layout)
+        return self._frame.columns([f], self._atoms, 1, {}, self._layout)[0]
 
     def extension_mask(self, f: Formula) -> int:
         out = 0
@@ -501,13 +508,69 @@ class ModelEvaluator:
             if c
         }
 
+    def _point(self, slot: int) -> Point:
+        a, w = divmod(self._frame.pairs[slot], self.model.world_count)
+        return Point(w, a)
+
     def first_failure(self, f: Formula) -> Point | None:
         """Lowest present pair (agent-major order) where f fails, if any."""
-        W = self.model.world_count
-        for t, c in zip(self._frame.pairs, self._columns(f)):
+        for slot, c in enumerate(self._columns(f)):
             if not c:
-                return Point(t % W, t // W)
+                return self._point(slot)
         return None
+
+    def first_failures(
+        self, schema: Formula, substitutions: Sequence[Mapping[str, Formula]]
+    ) -> list[tuple[int, Point]]:
+        """(j, first_failure of instance j) for each instance of schema
+        that fails, in ascending j, where instance j substitutes
+        substitutions[j] into the schema's metavariables.
+
+        No instance is built.  The instances run as the lanes of one
+        column: each substitution formula is evaluated once, its column
+        goes into lane j of its metavariable's column, every metavariable
+        node is seeded with that column as a leaf, and the schema body is
+        evaluated once over all lanes.
+        """
+        n = len(substitutions)
+        if not n:
+            return []
+        full = (1 << n) - 1
+        metavars: list[MetaVar] = []
+        stack = [schema]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, MetaVar):
+                metavars.append(node)
+            else:
+                stack += children(node)
+        names = list(dict.fromkeys(node.name for node in metavars))
+        try:
+            roots = [subst[name] for name in names for subst in substitutions]
+        except KeyError as exc:
+            raise UnboundMetavariableError(exc.args[0]) from None
+        # each substitution formula once, on the model alone
+        single = self._frame.columns(roots, self._atoms, 1, {}, self._layout)
+        packed: dict[str, list[int]] = {}
+        for i, name in enumerate(names):
+            # bit j of slot s is the single bit of substitution j at slot s:
+            # the slot's bits, lane n - 1 first, read as a binary numeral
+            per_slot = zip(*single[i * n : i * n + n])
+            packed[name] = [int(bytes(bits[::-1]).translate(_BINARY_DIGITS), 2) for bits in per_slot]
+        memo = {id(node): packed[node.name] for node in metavars}
+        atoms = {p: [full if b else 0 for b in col] for p, col in self._atoms.items()}
+        [result] = self._frame.columns([schema], atoms, full, memo, self._layout)
+        ok = full
+        for c in result:
+            ok &= c
+        failing = full ^ ok
+        out = []
+        while failing:
+            low = failing & -failing
+            slot = next(i for i, c in enumerate(result) if not c & low)
+            out.append((low.bit_length() - 1, self._point(slot)))
+            failing ^= low
+        return out
 
 
 def valid_in_model(m: EpistemicModel, f: Formula) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .checker import explain as explain_point
 from .checker import satisfies
@@ -96,7 +97,8 @@ def cmd_valid(args) -> int:
         formula = parse(args.formula)
     except ParseError as exc:
         return _die(str(exc))
-    props = args.props.split(",") if args.props else sorted(atoms(formula)) or ["p"]
+    # an explicit --props, even "", is taken as given and checked by Bounds
+    props = args.props.split(",") if args.props is not None else sorted(atoms(formula)) or ["p"]
     try:
         bounds = Bounds(args.max_worlds, args.max_agents, tuple(props))
         verdict = decide_bounded(formula, bounds, prune=args.prune)
@@ -269,7 +271,10 @@ def cmd_expand(args) -> int:
     return OK
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and in-process callers of main pay for the build once."""
     top = argparse.ArgumentParser(
         prog="awarekit",
         description="Model checking, proof checking, and bounded validity "

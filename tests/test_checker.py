@@ -15,7 +15,15 @@ from awarekit.checker import (
 from awarekit.model import AgentNotPresentError, EpistemicModel, Point
 from awarekit.proof import AXIOM_SCHEMAS, NON_TAUT_AXIOMS
 from awarekit.search import random_formula
-from awarekit.syntax import And, Know, Not, instantiate, metavariables, parse
+from awarekit.syntax import (
+    And,
+    Know,
+    Not,
+    UnboundMetavariableError,
+    instantiate,
+    metavariables,
+    parse,
+)
 
 from conftest import formulas, small_models
 
@@ -185,6 +193,32 @@ class TestEvaluatorEngine:
             for q in m.points():
                 if (q.agent, q.world) < (pt.agent, pt.world):
                     assert satisfies(m, q, f)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_models(), st.integers(min_value=0, max_value=2**32), st.integers(1, 70))
+    def test_first_failures_agree_with_each_instance(self, m, seed, n):
+        rng = random.Random(seed)
+        schemas = [AXIOM_SCHEMAS[ax] for ax in NON_TAUT_AXIOMS]
+        schemas += [parse("PHI -> K PHI"), parse("R PHI -> K PHI | PSI"), parse("~R false")]
+        schema = rng.choice(schemas)
+        substs = [
+            {mv: random_formula(rng, ("p", "q", "z"), 3) for mv in metavariables(schema)}
+            for _ in range(n)
+        ]
+        ev = ModelEvaluator(m)
+        each = [ev.first_failure(instantiate(schema, subst)) for subst in substs]
+        assert ev.first_failures(schema, substs) == [(j, pt) for j, pt in enumerate(each) if pt]
+
+    def test_first_failures_of_no_instances(self, museum):
+        model, _, _ = museum
+        assert ModelEvaluator(model).first_failures(parse("PHI -> K PHI"), []) == []
+
+    def test_first_failures_names_an_unbound_metavariable(self, museum):
+        model, _, _ = museum
+        schema = parse("PHI -> K PSI")
+        with pytest.raises(UnboundMetavariableError, match="PSI"):
+            ModelEvaluator(model).first_failures(schema, [{"PHI": parse("p")}])
 
 
 class TestExplain:

@@ -100,6 +100,10 @@ class TestValid:
         code, _, err = run(capsys, "valid", "K p ->")
         assert code == 2
 
+    def test_empty_props_exits_two(self, capsys):
+        code, out, err = run(capsys, "valid", "p", "--props", "")
+        assert (code, out, err) == (2, "", "error: invalid proposition name ''\n")
+
     def test_json_twin(self, capsys):
         code, out, _ = run(
             capsys,
@@ -302,6 +306,21 @@ class TestUsage:
         code, out, err = run(capsys, *(arg.format(dot=dot) for arg in argv))
         assert code == 2 and out == ""
         assert err == f"error: [Errno 2] No such file or directory: '{dot}'\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["valid", "K p -> p", "--max-worlds", "2", "--max-agents", "2"], 0),
+            (["valid", "--max-worlds", "two", "p"], 2),
+            (["--help"], 0),
+        ],
+        ids=["valid", "usage-error", "help"],
+    )
+    def test_second_call_in_a_process_repeats_the_first(self, capsys, argv, code):
+        # the parser is built once per process and must not keep state
+        first = run(capsys, *argv)
+        assert first[0] == code and (first[1] or first[2])
+        assert run(capsys, *argv) == first
 
     def test_no_command_exits_two(self, capsys):
         assert run(capsys, )[0] == 2

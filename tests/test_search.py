@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
-from awarekit.checker import satisfies
-from awarekit.model import Bounds, enumerate_models
+from awarekit.checker import ModelEvaluator, satisfies
+from awarekit.model import Bounds, enumerate_models, random_model
 from awarekit.search import (
     AtomNotInBoundsError,
     Countermodel,
+    FuzzReport,
+    FuzzViolation,
     ValidUpToBounds,
     decide_bounded,
     default_fuzz_schemas,
@@ -12,7 +16,7 @@ from awarekit.search import (
     fuzz_soundness,
     random_formula,
 )
-from awarekit.syntax import instantiate, parse, render
+from awarekit.syntax import instantiate, metavariables, parse, render
 
 B1 = Bounds(2, 2, ("p",))
 
@@ -459,6 +463,83 @@ class TestFuzz:
 
     def test_schema_list_defaults_to_the_ten_axioms(self):
         assert len(default_fuzz_schemas()) == 10
+
+
+def per_instance_fuzz(trials, seed, bounds, pool_depth, instances_per_schema=10, schemas=None):
+    """Reference for fuzz_soundness: the same draws, but each instance built
+    with instantiate and checked alone by ModelEvaluator.first_failure."""
+    if schemas is None:
+        schemas = default_fuzz_schemas()
+    rng = random.Random(seed)
+    checked = 0
+    violations = []
+    for _ in range(trials):
+        model = random_model(rng.getrandbits(64), bounds)
+        evaluator = ModelEvaluator(model)
+        for schema_id, schema in schemas:
+            mvs = sorted(metavariables(schema))
+            for _ in range(instances_per_schema):
+                subst = {mv: random_formula(rng, bounds.props, pool_depth) for mv in mvs}
+                checked += 1
+                point = evaluator.first_failure(instantiate(schema, subst))
+                if point is not None:
+                    violations.append(FuzzViolation(model, point, schema_id, subst))
+    return FuzzReport(trials, checked, tuple(violations))
+
+
+def _schemas(*texts):
+    return [(text, parse(text)) for text in texts]
+
+
+# schemas the fuzzer must refute; the last has two metavariables
+PLANTED = _schemas("PHI -> K PHI", "D PHI -> R PHI", "R PHI -> K PHI | PSI")
+
+
+class TestFuzzLanes:
+    """fuzz_soundness evaluates the instances of a schema as lanes; the
+    report must be the one the per-instance path gives."""
+
+    @pytest.mark.parametrize(
+        "schemas",
+        [
+            PLANTED,
+            # a repeated metavariable
+            _schemas("K PHI | K ~PHI", "PHI & R PSI -> K (PSI & PHI)"),
+            # z is outside the bounds and reads as false
+            _schemas("PHI -> K PHI | z", "z"),
+            # no metavariable at all
+            _schemas("~R false", "p -> K p"),
+        ],
+        ids=["planted", "repeated", "outside-bounds", "no-metavariable"],
+    )
+    @pytest.mark.parametrize("instances", [1, 10, 70])
+    @pytest.mark.parametrize("pool_depth", [0, 3])
+    def test_equals_per_instance_report(self, schemas, instances, pool_depth):
+        bounds = Bounds(3, 3, ("p", "q"))
+        for seed in range(3):
+            args = (4, seed, bounds, pool_depth, instances, schemas)
+            assert fuzz_soundness(*args) == per_instance_fuzz(*args)
+
+    def test_planted_schemas_are_refuted(self):
+        args = (30, 0, Bounds(3, 3, ("p", "q")), 3, 10, PLANTED)
+        report = fuzz_soundness(*args)
+        assert {v.schema_id for v in report.violations} == {schema_id for schema_id, _ in PLANTED}
+        assert report == per_instance_fuzz(*args)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_schemas_match_per_instance_report(self, seed):
+        args = (15, seed, Bounds(4, 4, ("p", "q", "r")), 3)
+        assert fuzz_soundness(*args) == per_instance_fuzz(*args)
+
+    def test_builds_no_instance(self, monkeypatch):
+        import awarekit.search
+
+        def refuse(*_):
+            raise AssertionError("instantiate called")
+
+        monkeypatch.setattr(awarekit.search, "instantiate", refuse)
+        report = fuzz_soundness(10, 0, Bounds(3, 3, ("p", "q")), 2, schemas=PLANTED)
+        assert report.violations
 
 
 class TestRandomFormula:
