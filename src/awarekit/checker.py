@@ -512,9 +512,15 @@ class ModelEvaluator:
         a, w = divmod(self._frame.pairs[slot], self.model.world_count)
         return Point(w, a)
 
-    def first_failure(self, f: Formula) -> Point | None:
-        """Lowest present pair (agent-major order) where f fails, if any."""
-        for slot, c in enumerate(self._columns(f)):
+    def first_failure(self, f: Formula, _column: list[int] | None = None) -> Point | None:
+        """Lowest present pair (agent-major order) where f fails, if any.
+
+        _column is f's column when it is already known: first_failures
+        passes one instance's lane of its pass.
+        """
+        if _column is None:
+            _column = self._columns(f)
+        for slot, c in enumerate(_column):
             if not c:
                 return self._point(slot)
         return None
@@ -530,7 +536,8 @@ class ModelEvaluator:
         column: each substitution formula is evaluated once, its column
         goes into lane j of its metavariable's column, every metavariable
         node is seeded with that column as a leaf, and the schema body is
-        evaluated once over all lanes.
+        evaluated once over all lanes.  Each instance's failure is then
+        read off its lane by first_failure.
         """
         n = len(substitutions)
         if not n:
@@ -560,16 +567,11 @@ class ModelEvaluator:
         memo = {id(node): packed[node.name] for node in metavars}
         atoms = {p: [full if b else 0 for b in col] for p, col in self._atoms.items()}
         [result] = self._frame.columns([schema], atoms, full, memo, self._layout)
-        ok = full
-        for c in result:
-            ok &= c
-        failing = full ^ ok
         out = []
-        while failing:
-            low = failing & -failing
-            slot = next(i for i, c in enumerate(result) if not c & low)
-            out.append((low.bit_length() - 1, self._point(slot)))
-            failing ^= low
+        for j in range(n):
+            point = self.first_failure(schema, [c >> j & 1 for c in result])
+            if point is not None:
+                out.append((j, point))
         return out
 
 
