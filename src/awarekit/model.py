@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -441,6 +442,20 @@ def _iter_skeletons(bounds: Bounds, prune: bool = False) -> Iterator[_Skeleton]:
     for worlds in range(1, bounds.max_worlds + 1):
         for agents in range(1, bounds.max_agents + 1):
             yield from _iter_skeletons_wa(worlds, agents, prune)
+
+
+@lru_cache(maxsize=None)
+def _model_count(worlds: int, agents: int, nprops: int) -> int:
+    """The number of models of the (worlds, agents) shape over nprops
+    propositions: the sum over its plain skeletons of 2**(nprops * m), m
+    their present pairs.  Each agent picks a row of k worlds and a
+    partition of it, Bell(k) ways, on its own and brings nprops * k
+    valuation bits, so the sum is one agent's sum to the power agents."""
+    per_agent = sum(
+        math.comb(worlds, k) * len(_set_partitions(tuple(range(k)))) << nprops * k
+        for k in range(worlds + 1)
+    )
+    return per_agent**agents
 
 
 def _scatter(compact: int, positions: list[int]) -> int:

@@ -1,10 +1,26 @@
 """Bounded validity decisions by exhaustive countermodel search, plus
 randomized soundness fuzzing.
 
-``decide_bounded`` scans every model the bounds allow, in the same order
-``enumerate_models`` yields them, and returns either the first falsifying
-(model, point) or an explicit valid-up-to-bounds verdict.  Validity up to a
-bound is all it ever claims; no finite sweep can promise more.
+``decide_bounded`` decides as if it scanned every model the bounds allow,
+in the same order ``enumerate_models`` yields them, and returns either the
+first falsifying (model, point) or an explicit valid-up-to-bounds verdict.
+Validity up to a bound is all it ever claims; no finite sweep can promise
+more.
+
+Truth is invariant under renaming worlds and agents, and a renaming maps
+the valuations of one skeleton one to one onto those of its image.  So a
+(world count, agent count) shape holds a countermodel exactly when one of
+its canonical skeletons, the least of each relabeling orbit, does.  The
+scan therefore sweeps each shape's canonical skeletons first, which is all
+prune=True ever sweeps.  Where none fails, a plain decision adds the
+shape's closed-form model count (model._model_count) without sweeping it.
+Where one fails, a plain decision sweeps that shape again in full order up
+to its first failing model, and no later shape at all.  Verdicts,
+witnesses and counts are those of the full ordered scan, and a plain valid
+verdict costs what a pruned one does.  It rests on the canonical skeletons
+covering every orbit, which
+TestCanonicalSkeletons::test_pruned_equals_brute_force_oracle checks on
+ORACLE_SHAPES.
 
 Internally the scan groups models by skeleton (counts, presence,
 partitions), and groups the skeletons into runs that share counts and
@@ -17,20 +33,22 @@ failing lane gives the first failing model; the witness point is its
 lowest failing pair in agent-major order, and it is re-verified against
 the reference checker before it leaves this module.
 
-The runs, their frames and each pass's block layout depend on the shape
-(world count, agent count), the number of propositions, prune and the
-pass width, never on the formula.  So a process that decides many
-formulas at one bound reuses them as a plan per shape, and each decision
-redoes only the formula work: the valuation columns, the evaluation, the
-lowest failing lane and the re-verification.  The first sweep that
-reaches the end of a shape counts its skeletons; the next one keeps the
-plan if the shape has at most _PLAN_SKELETONS (8,192) skeletons: (3,3)
-has 3,375 and (4,2) 2,704, but (4,3) has 140,608 and always streams.
-The plans kept hold at most that many skeletons in all, least recently
-used out first.  The plans of the (3,3) bound take about 0.7 MB with one
-proposition and 1 MB with two.  A process that decides once keeps
-nothing, and a sweep that stops at a witness keeps nothing of the shape
-it stopped in.
+The runs, their frames and each pass's block layout depend on the shape,
+the number of propositions, prune and the pass width, never on the
+formula.  So a process that decides many formulas at one bound reuses
+them as a plan per shape, and each decision redoes only the formula work:
+the valuation columns, the evaluation, the lowest failing lane and the
+re-verification.  The first sweep that reaches the end of a shape counts
+its skeletons; the next one keeps the plan if the shape has at most
+_PLAN_SKELETONS (8,192) skeletons.  Only canonical sweeps reach the end of
+a shape, since a full-order sweep always stops at a witness, so only
+canonical plans are kept: (3,3) has 174 canonical skeletons and (4,3)
+1,616, but (5,3) has 17,935 and always streams.  The plans kept hold at
+most that many skeletons in all, least recently used out first.  The
+plans of the (3,3) bound take about 0.2 MB with one proposition and
+0.5 MB with two, and those of the (4,3) bound 3.1 MB with one.  A process
+that decides once keeps nothing, and a sweep that stops at a witness
+keeps nothing of the shape it stopped in.
 """
 
 from __future__ import annotations
@@ -38,9 +56,9 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from itertools import chain, groupby, product
+from itertools import groupby, product
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import checker
 from .checker import ModelEvaluator, _Frame, satisfies
@@ -51,6 +69,7 @@ from .model import (
     _iter_skeletons,  # unused here; the benchmark's tracer wraps this name
     _iter_skeletons_wa,
     _materialize,
+    _model_count,
     _scatter,
     random_model,
 )
@@ -157,36 +176,66 @@ def _runs(worlds: int, agents: int, nprops: int, prune: bool) -> Iterator[_Frame
                 del _plans[oldest]
 
 
-def _scan(
-    f: Formula, bounds: Bounds, prune: bool
-) -> tuple[int, tuple[EpistemicModel, Point] | None]:
-    props = bounds.props
+def _sweep(
+    f: Formula, props: tuple[str, ...], frames: Iterable[_Frame]
+) -> tuple[int, tuple[_Frame, int, int] | None]:
+    """Sweep the frames in order for a lane where f fails.  Returns the
+    number of lanes before the first failing one and its (frame, lane,
+    slot), or the number of all lanes and None."""
     checked = 0
-    shapes = product(range(1, bounds.max_worlds + 1), range(1, bounds.max_agents + 1))
-    for frame in chain.from_iterable(_runs(w, a, len(props), prune) for w, a in shapes):
+    for frame in frames:
         m = frame.m
         total = len(props) * m
-        # the first proposition is most significant: valuation bit
-        # total - (j + 1) * m + i is proposition j at slot i
-        lows = [(p, total - (j + 1) * m) for j, p in enumerate(props)]
+        lows = _lows(props, m)
         hit = frame.first_failure(
             f, total, lambda bits: ({p: bits[lo : lo + m] for p, lo in lows}, {})
         )
+        if hit is not None:
+            return checked + hit[0], (frame, *hit)
+        checked += len(frame.uses) << total
+    return checked, None
+
+
+def _lows(props: tuple[str, ...], m: int) -> list[tuple[str, int]]:
+    # the first proposition is most significant: valuation bit lo + i of
+    # proposition p's (p, lo) is p at slot i
+    return [(p, (len(props) - 1 - j) * m) for j, p in enumerate(props)]
+
+
+def _witness(
+    f: Formula, props: tuple[str, ...], frame: _Frame, lane: int, slot: int
+) -> tuple[EpistemicModel, Point]:
+    """The model and point of a failing lane, re-verified by the reference
+    checker."""
+    m = frame.m
+    total = len(props) * m
+    sk, index = frame.skeleton(lane >> total), lane & ((1 << total) - 1)
+    masks = tuple(_scatter(index >> lo & ((1 << m) - 1), frame.pairs) for _, lo in _lows(props, m))
+    model = _materialize(sk, masks, props)
+    a, w = divmod(frame.pairs[slot], sk.world_count)
+    point = Point(w, a)
+    if satisfies(model, point, f):
+        raise AssertionError("search engine and reference checker disagree; please report")
+    return model, point
+
+
+def _scan(
+    f: Formula, bounds: Bounds, prune: bool
+) -> tuple[int, tuple[EpistemicModel, Point] | None]:
+    props, nprops = bounds.props, len(bounds.props)
+    checked = 0
+    for w, a in product(range(1, bounds.max_worlds + 1), range(1, bounds.max_agents + 1)):
+        lanes, hit = _sweep(f, props, _runs(w, a, nprops, True))
         if hit is None:
-            checked += len(frame.uses) << total
+            checked += lanes if prune else _model_count(w, a, nprops)
             continue
-        lane, slot = hit
-        checked += lane
-        sk, index = frame.skeleton(lane >> total), lane & ((1 << total) - 1)
-        masks = tuple(_scatter(index >> lo & ((1 << m) - 1), frame.pairs) for _, lo in lows)
-        model = _materialize(sk, masks, props)
-        a, w = divmod(frame.pairs[slot], sk.world_count)
-        point = Point(w, a)
-        if satisfies(model, point, f):
-            raise AssertionError(
-                "search engine and reference checker disagree; please report"
-            )
-        return checked, (model, point)
+        if not prune:
+            # a relabeled countermodel is a countermodel, so this shape's
+            # first failing model in full order exists; find it
+            lanes, hit = _sweep(f, props, _runs(w, a, nprops, False))
+            if hit is None:
+                raise AssertionError("canonical and full sweeps disagree; please report")
+        return checked + lanes, _witness(f, props, *hit)
     return checked, None
 
 
@@ -199,6 +248,12 @@ def decide_bounded(f: Formula, bounds: Bounds, prune: bool = False) -> Verdict:
     the verdict kind never changes but the witness and the count may.
     The scan is sequential and stops at the first witness, so the same
     inputs always give the same verdict.
+
+    Both kinds sweep each shape's canonical skeletons, one per relabeling
+    orbit.  A plain decision sweeps in full order only the shape where one
+    of them fails, and counts each shape without a countermodel in closed
+    form, so its verdict, witness and count are those of the full ordered
+    scan (see the module docstring).
     """
     missing = atoms(f) - set(bounds.props)
     if missing:

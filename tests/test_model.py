@@ -12,6 +12,7 @@ from awarekit.model import (
     ModelFormatError,
     Point,
     _iter_skeletons_wa,
+    _model_count,
     enumerate_models,
     load_model,
     model_from_json,
@@ -168,6 +169,20 @@ class TestEnumeration:
         assert first == second
         seen = {model_to_json(m) for m in first}
         assert len(seen) == len(first)
+
+    @pytest.mark.parametrize("nprops", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "worlds,agents", [(w, a) for w in range(1, 4) for a in range(1, 4)] + [(4, 1), (4, 2)]
+    )
+    def test_model_count_is_the_sum_over_skeletons(self, worlds, agents, nprops):
+        want = sum(1 << nprops * len(sk.pair_bits()) for sk in _iter_skeletons_wa(worlds, agents))
+        assert _model_count(worlds, agents, nprops) == want
+
+    @pytest.mark.parametrize("props", [("p",), ("p", "q")])
+    def test_model_count_equals_enumeration(self, props):
+        shapes = itertools.product(range(1, 3), range(1, 3))
+        want = sum(1 for _ in enumerate_models(Bounds(2, 2, props)))
+        assert sum(_model_count(w, a, len(props)) for w, a in shapes) == want
 
     def test_pruned_is_subsequence(self):
         b = Bounds(2, 2, ("p",))

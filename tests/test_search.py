@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awarekit.checker import ModelEvaluator, satisfies
 from awarekit.model import Bounds, enumerate_models, random_model
@@ -30,6 +32,12 @@ def naive_decide(f, bounds, prune=False):
                 return m, pt
         count += 1
     return count
+
+
+def naive_verdict(f, bounds):
+    """naive_decide's answer as the Verdict a plain decide_bounded gives."""
+    got = naive_decide(f, bounds)
+    return ValidUpToBounds(bounds, got) if isinstance(got, int) else Countermodel(*got)
 
 
 class TestDecideBounded:
@@ -260,6 +268,67 @@ class TestPackedRuns:
                 assert (got.model, got.point) == want, render(f)
 
 
+class TestCanonicalFirstScan:
+    """A plain decision sweeps each shape's canonical skeletons and sweeps in
+    full order only the shape where one fails; its verdict, witness, point
+    and count are still those of the full ordered scan."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    @pytest.mark.parametrize(
+        "bounds",
+        [Bounds(2, 2, ("p", "q")), Bounds(3, 2, ("p",)), Bounds(2, 3, ("p",))],
+        ids=["2x2pq", "3x2p", "2x3p"],
+    )
+    def test_equals_naive_scan(self, bounds, seed):
+        f = random_formula(random.Random(seed), bounds.props, 4)
+        assert decide_bounded(f, bounds) == naive_verdict(f, bounds), render(f)
+
+    # The first failing model in full order lies in a skeleton that is not
+    # the canonical one of its orbit, past (1,1).  Found by deciding
+    # random_formula(random.Random(seed), ("p",), 5) for seeds below 8,000
+    # at Bounds(2, 3, ("p",)) and keeping the witnesses whose (presence
+    # mask, partitions) is not among _iter_skeletons_wa(W, A, True); these
+    # are seeds 7221, 3731 and 1280, simplified.
+    @pytest.mark.parametrize(
+        "text,shape",
+        [("D p | ~R K p", (2, 2)), ("R D p -> D p", (2, 2)), ("R p | ~K R R p", (2, 3))],
+    )
+    @pytest.mark.parametrize("bounds", [Bounds(2, 3, ("p",)), Bounds(3, 3, ("p",))], ids=["2x3", "3x3"])
+    def test_witness_in_non_canonical_skeleton(self, text, shape, bounds):
+        from awarekit.model import _Skeleton, _iter_skeletons_wa
+
+        f = parse(text)
+        got = decide_bounded(f, bounds)
+        assert got == naive_verdict(f, bounds)
+        W, A = shape
+        mask = sum(1 << (a * W + w) for a, w in got.model.presence)
+        assert _witness_shape(got) == shape
+        assert _Skeleton(W, A, mask, got.model.indist) not in set(_iter_skeletons_wa(W, A, True))
+
+    @pytest.mark.parametrize("text,shape", [("K p -> p", None), ("D p -> K D p", None), ("D p | ~R K p", (2, 2))])
+    def test_full_order_sweeps_only_the_witness_shape(self, clear_plans, monkeypatch, text, shape):
+        from awarekit import search
+
+        enumerated = []
+        wa = search._iter_skeletons_wa
+
+        def counting(*args):
+            enumerated.append(args)
+            return wa(*args)
+
+        monkeypatch.setattr(search, "_iter_skeletons_wa", counting)
+        for _ in range(3):
+            decide_bounded(parse(text), Bounds(3, 3, ("p",)))
+        plain = [args[:2] for args in enumerated if not args[2]]
+        if shape is None:
+            assert plain == []
+        else:
+            # the canonical sweep stops in the witness's shape too
+            assert plain == [shape] * 3
+            assert max(args[:2] for args in enumerated) == shape
+
+
 @pytest.fixture
 def clear_plans():
     """Forget every kept plan and shape size, before and after the test."""
@@ -340,13 +409,15 @@ class TestPlanReuse:
         assert kept == {(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)}
         assert (3, 2) not in {key[:2] for key in search._sizes}
 
-    @pytest.mark.parametrize("cap", [100, 30], ids=["one-shape-over", "total-over"])
+    @pytest.mark.parametrize("cap", [20, 30], ids=["one-shape-over", "total-over"])
     def test_cap(self, clear_plans, monkeypatch, cap):
         from awarekit import search
         from awarekit.checker import _CHUNK_BITS
 
-        # shapes of Bounds(2, 3): (1,1) 2, (1,2) 4, (1,3) 8, (2,1) 5,
-        # (2,2) 25 and (2,3) 125 skeletons, 169 in all
+        # plain decisions sweep the canonical skeletons of each shape, so
+        # only those plans are measured and kept.  Canonical shapes of
+        # Bounds(2, 3): (1,1) 2, (1,2) 3, (1,3) 4, (2,1) 4, (2,2) 11 and
+        # (2,3) 24 skeletons, 48 in all
         bounds = Bounds(2, 3, ("p",))
         texts = ["K p -> p", "D p -> R p", "K ~R p -> ~D K p", "R K p -> K R p"]
         want = []
@@ -357,8 +428,12 @@ class TestPlanReuse:
         monkeypatch.setattr(search, "_PLAN_SKELETONS", cap)
         for _ in range(3):
             assert [decide_bounded(parse(t), bounds) for t in texts] == want
-        assert search._sizes[2, 3, 1, False, _CHUNK_BITS] == 125
-        assert (2, 3) not in {key[:2] for key in search._plans}
+        assert search._sizes[2, 3, 1, True, _CHUNK_BITS] == 24
+        assert all(prune for _, _, _, prune, _ in search._sizes)
+        if cap < 24:
+            assert (2, 3) not in {key[:2] for key in search._plans}
+        else:
+            assert set(search._plans) < set(search._sizes)
         assert search._plans
         assert sum(search._sizes[key] for key in search._plans) <= cap
 
