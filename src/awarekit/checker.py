@@ -526,7 +526,10 @@ class ModelEvaluator:
         return None
 
     def first_failures(
-        self, schema: Formula, substitutions: Sequence[Mapping[str, Formula]]
+        self,
+        schema: Formula,
+        substitutions: Sequence[Mapping[str, Formula]],
+        _memo: dict[int, list[int]] | None = None,
     ) -> list[tuple[int, Point]]:
         """(j, first_failure of instance j) for each instance of schema
         that fails, in ascending j, where instance j substitutes
@@ -538,6 +541,12 @@ class ModelEvaluator:
         node is seeded with that column as a leaf, and the schema body is
         evaluated once over all lanes.  Each instance's failure is then
         read off its lane by first_failure.
+
+        _memo, when given, maps ids of substitution nodes to their columns
+        on this model alone, and takes the new ones: fuzz_soundness shares
+        one across a trial's schemas.  The caller keeps every node it
+        names alive while it is used.  It never seeds the schema body,
+        whose columns are as wide as the instances.
         """
         n = len(substitutions)
         if not n:
@@ -557,7 +566,9 @@ class ModelEvaluator:
         except KeyError as exc:
             raise UnboundMetavariableError(exc.args[0]) from None
         # each substitution formula once, on the model alone
-        single = self._frame.columns(roots, self._atoms, 1, {}, self._layout)
+        single = self._frame.columns(
+            roots, self._atoms, 1, {} if _memo is None else _memo, self._layout
+        )
         packed: dict[str, list[int]] = {}
         for i, name in enumerate(names):
             # bit j of slot s is the single bit of substitution j at slot s:

@@ -13,10 +13,11 @@ import itertools
 import json
 import math
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
+
+from .syntax import is_prop_name
 
 __all__ = [
     "Point",
@@ -32,9 +33,6 @@ __all__ = [
     "load_model",
     "model_to_dot",
 ]
-
-_PROP_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_RESERVED = frozenset({"K", "R", "D", "A", "true", "false"})
 
 
 class AgentNotPresentError(ValueError):
@@ -80,7 +78,7 @@ class Bounds:
         if len(set(self.props)) != len(self.props):
             raise ValueError("bounds propositions must be duplicate-free")
         for p in self.props:
-            if not _PROP_RE.fullmatch(p) or p in _RESERVED:
+            if not is_prop_name(p):
                 raise ValueError(f"invalid proposition name {p!r}")
 
 
@@ -239,7 +237,7 @@ class EpistemicModel:
                     )
                 )
         for p in self.valuation:
-            if not _PROP_RE.fullmatch(p) or p in _RESERVED:
+            if not is_prop_name(p):
                 out.append(
                     Violation("proposition-name", f"invalid proposition name {p!r}")
                 )

@@ -58,7 +58,7 @@ import threading
 from dataclasses import dataclass
 from itertools import groupby, product
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import checker
 from .checker import ModelEvaluator, _Frame, satisfies
@@ -324,6 +324,58 @@ def random_formula(rng: random.Random, props: Sequence[str], max_depth: int) -> 
     return node(random_formula(rng, props, max_depth - 1)) if arity else node()
 
 
+def _drawer(rng: random.Random, props: Sequence[str]) -> Callable[[int, dict], Formula]:
+    """draw(max_depth, interned): the formula random_formula(rng, props,
+    max_depth) returns, from the same rng calls, with equal subtrees shared.
+
+    Each choice is Random.choice done inline, as CPython does it:
+    getrandbits(k) with k = n.bit_length(), drawn again while it is n or
+    more.  Leaves are one Atom per proposition and one Falsum; every other
+    node is interned in interned by (kind, id of each child), so equal
+    subtrees drawn into one dict are one object.  The dict keeps each node
+    it holds alive, so those ids stay unique while it lives.
+    """
+    getrandbits = rng.getrandbits
+    leaves = [Atom(p) for p in props]
+    falsum = Falsum()
+    # kind i of _LEAF_KINDS is kind i of _NODE_KINDS
+    kinds = [_KINDS[kind] for kind in _NODE_KINDS]
+    n_kinds, k_kinds = len(kinds), len(kinds).bit_length()
+    n_leaves, k_leaves = len(_LEAF_KINDS), len(_LEAF_KINDS).bit_length()
+    n_props, k_props = len(leaves), len(leaves).bit_length()
+
+    def draw(depth: int, interned: dict) -> Formula:
+        if depth > 0:
+            i = getrandbits(k_kinds)
+            while i >= n_kinds:
+                i = getrandbits(k_kinds)
+        else:
+            i = getrandbits(k_leaves)
+            while i >= n_leaves:
+                i = getrandbits(k_leaves)
+        if i == 0:
+            j = getrandbits(k_props)
+            while j >= n_props:
+                j = getrandbits(k_props)
+            return leaves[j]
+        if i == 1:
+            return falsum
+        node, arity = kinds[i]
+        if arity == 2:
+            left = draw(depth - 1, interned)
+            right = draw(depth - 1, interned)
+            args, key = (left, right), (i, id(left), id(right))
+        else:
+            child = draw(depth - 1, interned)
+            args, key = (child,), (i, id(child))
+        got = interned.get(key)
+        if got is None:
+            got = interned[key] = node(*args)
+        return got
+
+    return draw
+
+
 def default_fuzz_schemas() -> list[tuple[str, Formula]]:
     """The ten non-tautology axiom schemas, keyed by their keyword."""
     return [(ax.value, AXIOM_SCHEMAS[ax]) for ax in NON_TAUT_AXIOMS]
@@ -348,8 +400,11 @@ def fuzz_soundness(
 
     The instances of one schema on one model are evaluated as the lanes of
     one pass (see ModelEvaluator.first_failures), never built one by one.
-    The violations and their order are those of checking each instance in
-    turn.
+    A trial's pool is hash-consed: its equal subtrees are one object, and
+    each distinct subtree is evaluated once on the trial's model, for all
+    schemas.  The draws are random_formula's, from the same rng calls, so
+    the violations, their order and the report are those of checking each
+    instance in turn.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -360,18 +415,24 @@ def fuzz_soundness(
     if schemas is None:
         schemas = default_fuzz_schemas()
     rng = random.Random(seed)
+    draw = _drawer(rng, bounds.props)
     checked = 0
     violations: list[FuzzViolation] = []
     schemas = [(schema_id, schema, sorted(metavariables(schema))) for schema_id, schema in schemas]
     for _ in range(trials):
         model = random_model(rng.getrandbits(64), bounds)
         evaluator = ModelEvaluator(model)
+        # one trial's pool and its single-lane columns on this model: memo
+        # is keyed by ids of nodes that interned or draw keeps alive, and
+        # both are dropped with the model
+        interned: dict = {}
+        memo: dict = {}
         for schema_id, schema, mvs in schemas:
             substs = [
-                {mv: random_formula(rng, bounds.props, pool_depth) for mv in mvs}
+                {mv: draw(pool_depth, interned) for mv in mvs}
                 for _ in range(instances_per_schema)
             ]
             checked += instances_per_schema
-            for j, point in evaluator.first_failures(schema, substs):
+            for j, point in evaluator.first_failures(schema, substs, _memo=memo):
                 violations.append(FuzzViolation(model, point, schema_id, substs[j]))
     return FuzzReport(trials, checked, tuple(violations))

@@ -54,12 +54,19 @@ _GREEK = frozenset(
     "ALPHA BETA GAMMA DELTA EPSILON ZETA ETA THETA IOTA KAPPA LAMBDA MU NU "
     "XI OMICRON PI RHO SIGMA TAU UPSILON PHI CHI PSI OMEGA".split()
 )
-_METAVAR_RE = re.compile(r"([A-Z]+)([0-9]*)$")
+_METAVAR_RE = re.compile(r"([A-Z]+)([0-9]*)")
 
 
 def is_metavar_name(name: str) -> bool:
-    m = _METAVAR_RE.match(name)
+    m = _METAVAR_RE.fullmatch(name)
     return m is not None and m.group(1) in _GREEK
+
+
+def is_prop_name(name: str) -> bool:
+    """Whether name can name a proposition: an identifier that is neither a
+    reserved word nor a metavariable name.  Atom, Bounds and
+    EpistemicModel.validate all apply this one rule."""
+    return _IDENT_RE.fullmatch(name) is not None and name not in _RESERVED and not is_metavar_name(name)
 
 
 class Formula:
@@ -76,12 +83,13 @@ class Atom(Formula):
     name: str
 
     def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"invalid proposition name {self.name!r}")
+        if is_prop_name(self.name):
+            return
         if self.name in _RESERVED:
             raise ValueError(f"{self.name!r} is a reserved word, not a proposition name")
         if is_metavar_name(self.name):
             raise ValueError(f"{self.name!r} is a metavariable name; use MetaVar")
+        raise ValueError(f"invalid proposition name {self.name!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -104,6 +104,10 @@ class TestValid:
         code, out, err = run(capsys, "valid", "p", "--props", "")
         assert (code, out, err) == (2, "", "error: invalid proposition name ''\n")
 
+    def test_metavariable_prop_exits_two(self, capsys):
+        code, out, err = run(capsys, "valid", "PHI -> PHI", "--props", "PHI")
+        assert (code, out, err) == (2, "", "error: invalid proposition name 'PHI'\n")
+
     def test_json_twin(self, capsys):
         code, out, _ = run(
             capsys,
@@ -215,6 +219,12 @@ class TestFuzz:
         code, out, err = run(capsys, "fuzz", "--trials", "2", "--instances", instances)
         assert (code, out, err) == (2, "", "error: --instances must be at least 1\n")
 
+    @pytest.mark.parametrize("props", ["PHI", "p,PSI2"])
+    def test_metavariable_prop_exits_two(self, capsys, props):
+        name = props.split(",")[-1]
+        code, out, err = run(capsys, "fuzz", "--trials", "2", "--props", props)
+        assert (code, out, err) == (2, "", f"error: invalid proposition name {name!r}\n")
+
     def test_negative_pool_depth_exits_two(self, capsys):
         code, out, err = run(capsys, "fuzz", "--trials", "2", "--pool-depth", "-1")
         assert (code, out, err) == (2, "", "error: --pool-depth must be at least 0\n")
@@ -240,6 +250,17 @@ class TestLint:
         )
         code, out, _ = run(capsys, "lint", str(bad))
         assert code == 1 and "valuation-outside-presence" in out
+
+    def test_metavariable_proposition_is_a_violation(self, tmp_path, capsys):
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(
+            '{"worlds": ["w"], "agents": ["a"], "presence": [["a", "w"]],'
+            ' "indist": {"a": [["w"]]}, "valuation": {"PHI": [["a", "w"]]}}'
+        )
+        code, out, _ = run(capsys, "lint", str(bad))
+        assert code == 1 and "proposition-name: invalid proposition name 'PHI'" in out
+        code, out, err = run(capsys, "check", str(bad), "w", "a", "true")
+        assert code == 2 and out == "" and "invalid proposition name 'PHI'" in err
 
     def test_dot_export(self, tmp_path, capsys):
         dot = tmp_path / "museum.dot"

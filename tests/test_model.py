@@ -59,6 +59,22 @@ class TestValidate:
         m = EpistemicModel(0, 0, set(), (), {})
         assert m.validate() == []
 
+    @pytest.mark.parametrize("name", ["PHI", "PSI2", "K", "true", "1x"])
+    def test_invalid_proposition_name(self, name):
+        # the rule Atom applies: metavariable names are not proposition names
+        m = EpistemicModel(1, 1, {(0, 0)}, (((0,),),), {name: {(0, 0)}})
+        assert [(v.code, v.message) for v in m.validate()] == [
+            ("proposition-name", f"invalid proposition name {name!r}")
+        ]
+
+
+class TestBounds:
+    @pytest.mark.parametrize("name", ["PHI", "PSI2", "K", "true", "1x", ""])
+    def test_invalid_proposition_name(self, name):
+        with pytest.raises(ValueError) as exc:
+            Bounds(2, 2, ("p", name))
+        assert str(exc.value) == f"invalid proposition name {name!r}"
+
 
 class TestAccessors:
     def test_present_worlds(self, museum):

@@ -18,7 +18,19 @@ from awarekit.search import (
     fuzz_soundness,
     random_formula,
 )
-from awarekit.syntax import instantiate, metavariables, parse, render
+from awarekit.search import _drawer
+from awarekit.syntax import (
+    Atom,
+    Implies,
+    Know,
+    MetaVar,
+    Not,
+    children,
+    instantiate,
+    metavariables,
+    parse,
+    render,
+)
 
 B1 = Bounds(2, 2, ("p",))
 
@@ -615,6 +627,90 @@ class TestFuzzLanes:
         monkeypatch.setattr(awarekit.search, "instantiate", refuse)
         report = fuzz_soundness(10, 0, Bounds(3, 3, ("p", "q")), 2, schemas=PLANTED)
         assert report.violations
+
+
+class TestPoolDraw:
+    """fuzz_soundness draws its pools with search._drawer, which does
+    Random.choice inline; it must draw what random_formula draws and leave
+    the rng where random_formula leaves it."""
+
+    @pytest.mark.parametrize("props", [("p",), ("p", "q"), ("p", "q", "r"), ("a", "b", "c", "d", "e")])
+    def test_equals_random_formula(self, props):
+        for seed in range(200):
+            for depth in range(6):
+                ref, rng = random.Random(seed), random.Random(seed)
+                draw, interned = _drawer(rng, props), {}
+                for _ in range(3):
+                    want = random_formula(ref, props, depth)
+                    got = draw(depth, interned)
+                    assert got == want and render(got) == render(want)
+                assert rng.getstate() == ref.getstate()
+
+    def test_equal_subtrees_are_one_object(self):
+        draw, interned = _drawer(random.Random(4), ("p", "q")), {}
+        first: dict = {}
+        walked = 0
+        for _ in range(300):
+            stack = [draw(3, interned)]
+            while stack:
+                node = stack.pop()
+                assert first.setdefault(node, node) is node
+                stack += children(node)
+                walked += 1
+        # the pool repeats subtrees, so sharing is exercised
+        assert len(first) < walked / 2
+
+
+class TestFuzzMemo:
+    """fuzz_soundness shares one single-lane memo across a trial's schemas;
+    it must never leak into a schema body and must not outlive its nodes."""
+
+    def test_schema_atom_used_as_substitution(self):
+        p = Atom("p")
+        schema = Implies(MetaVar("PHI"), Know(p))
+        substs = [{"PHI": p}, {"PHI": Not(p)}, {"PHI": Know(p)}, {"PHI": p}]
+        for seed in range(30):
+            evaluator = ModelEvaluator(random_model(seed, Bounds(3, 3, ("p", "q"))))
+            want = [
+                (j, point)
+                for j, subst in enumerate(substs)
+                if (point := evaluator.first_failure(instantiate(schema, subst))) is not None
+            ]
+            memo: dict = {}
+            # the second call runs on a memo that already holds p's column
+            for _ in range(2):
+                assert evaluator.first_failures(schema, substs, _memo=memo) == want
+            assert id(p) in memo
+
+    def test_fuzz_with_concrete_atoms_in_schemas(self):
+        schemas = _schemas("PHI -> K p", "p & PHI -> R (p & PHI)", "K (PHI | q) -> K p")
+        for seed in range(5):
+            args = (6, seed, Bounds(3, 3, ("p", "q")), 2, 10, schemas)
+            assert fuzz_soundness(*args) == per_instance_fuzz(*args)
+
+    def test_fresh_substitutions_on_one_evaluator(self):
+        # each round's substitutions die with the round, so the next round's
+        # nodes reuse their ids; no call may see another call's columns.
+        # An axiom holds whatever column its metavariable gets, so only
+        # refutable schemas on models with several pairs can show one.
+        rng = random.Random(2)
+
+        def round_agrees(evaluator, schema):
+            mvs = sorted(metavariables(schema))
+            substs = [{mv: random_formula(rng, ("p", "q"), 3) for mv in mvs} for _ in range(5)]
+            got = evaluator.first_failures(schema, substs)
+            return got == [
+                (j, point)
+                for j, subst in enumerate(substs)
+                if (point := evaluator.first_failure(instantiate(schema, subst))) is not None
+            ]
+
+        for model_seed in (1, 5):
+            evaluator = ModelEvaluator(random_model(model_seed, Bounds(3, 3, ("p", "q"))))
+            assert len(evaluator.model.presence) >= 3
+            for _, schema in PLANTED:
+                for _ in range(20):
+                    assert round_agrees(evaluator, schema)
 
 
 class TestRandomFormula:

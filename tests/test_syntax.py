@@ -19,6 +19,7 @@ from awarekit.syntax import (
     atoms,
     awareness_tower,
     instantiate,
+    is_prop_name,
     is_tautology,
     match_schema,
     metavariables,
@@ -109,6 +110,33 @@ class TestParse:
         for bad in ("K", "true", "false", "PHI", "", "1x"):
             with pytest.raises(ValueError):
                 Atom(bad)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("K", "'K' is a reserved word, not a proposition name"),
+            ("true", "'true' is a reserved word, not a proposition name"),
+            ("PHI", "'PHI' is a metavariable name; use MetaVar"),
+            ("PSI2", "'PSI2' is a metavariable name; use MetaVar"),
+            ("", "invalid proposition name ''"),
+            ("1x", "invalid proposition name '1x'"),
+            ("PHI\n", "invalid proposition name 'PHI\\n'"),
+        ],
+    )
+    def test_prop_name_rule(self, name, message):
+        assert not is_prop_name(name)
+        with pytest.raises(ValueError) as exc:
+            Atom(name)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["p", "Kp", "PHIL", "Phi", "x_1", "P", "PI_2"])
+    def test_prop_names_accepted(self, name):
+        assert is_prop_name(name)
+        assert Atom(name).name == name
+
+    def test_metavar_name_is_whole_name(self):
+        with pytest.raises(ValueError):
+            MetaVar("PHI\n")
 
 
 class TestRender:
