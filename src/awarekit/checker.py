@@ -155,8 +155,8 @@ def _widen(flags: bytearray, total_bits: int) -> int:
 # a block as (member slots, worlds, (member slot, its R witness slots) pairs)
 _Block = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
 # what one pass needs: its blocks and, parallel to them, each block's lane
-# mask, or None when every lane uses every block
-_Layout = tuple[tuple[_Block, ...], tuple[int, ...] | None]
+# mask, the lanes of the pass whose skeleton uses the block
+_Layout = tuple[tuple[_Block, ...], tuple[int, ...]]
 
 
 class _Frame:
@@ -175,12 +175,11 @@ class _Frame:
     A pass then gives each block it needs the mask of the lanes whose
     skeleton uses that block.
 
-    None of this depends on the formula.  A frame given a table builds
-    the layouts of all its passes at the first sweep and keeps them, so
-    later sweeps of the same width reuse them; the table maps each tuple
-    and lane mask the frame builds to one shared copy, so the frames of
-    one plan hold each only once.  Without a table, each pass's layout is
-    built as the pass comes and dropped after it.
+    None of this depends on the formula.  The frame builds the layouts of
+    all its passes at its first sweep and keeps them, so later sweeps of
+    the same width reuse them.  Its table maps each tuple and lane mask
+    the frame builds to one shared copy; frames built with one table, as
+    the frames of one plan are, hold each only once.
     """
 
     __slots__ = ("pairs", "m", "world_slots", "blocks", "uses", "_first", "_table", "_kept")
@@ -199,8 +198,11 @@ class _Frame:
             rows[a] |= 1 << w
             agents_at[w].append(a)
         self._first = first
-        self._table = table
-        share = (lambda x: x) if table is None else (lambda x: table.setdefault(x, x))
+        self._table = table = {} if table is None else table
+
+        def share(x):
+            return table.setdefault(x, x)
+
         self.world_slots = tuple([share(tuple([slot_of[b * W + u] for b in agents_at[u]])) for u in range(W)])
         blocks: list[_Block] = []
         block_of: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -233,8 +235,7 @@ class _Frame:
             uses.append(share(used))
         self.blocks = tuple(blocks)
         self.uses = tuple(uses)
-        # (total_bits, _CHUNK_BITS) and the layouts of every pass at them,
-        # kept when the frame has a table
+        # (total_bits, _CHUNK_BITS) and the layouts of every pass at them
         self._kept: tuple[tuple[int, int], tuple[_Layout, ...]] | None = None
 
     def skeleton(self, i: int) -> _Skeleton:
@@ -247,12 +248,14 @@ class _Frame:
         return replace(self._first, partitions=tuple(map(tuple, parts)))
 
     def plain(self, i: int) -> _Layout:
-        """The layout of a pass that holds skeleton i alone."""
-        return tuple([self.blocks[b] for b in self.uses[i]]), None
+        """The layout of a pass that holds skeleton i alone.  Every lane of
+        the pass uses every block of the skeleton, so each mask is -1, all
+        lanes.  It cuts nothing, which is sound because a block is never
+        empty and every column lies within full."""
+        used = self.uses[i]
+        return tuple([self.blocks[b] for b in used]), (-1,) * len(used)
 
     def _lane_mask(self, flags: bytearray, total_bits: int) -> int:
-        if self._table is None:
-            return _widen(flags, total_bits)
         key = (bytes(flags), total_bits)
         mask = self._table.get(key)
         if mask is None:
@@ -270,9 +273,6 @@ class _Frame:
         per_pass = 1 << (_CHUNK_BITS - total_bits)  # skeletons
         for first in range(0, len(self.uses), per_pass):
             group = self.uses[first : first + per_pass]
-            if len(group) == 1:
-                yield self.plain(first)
-                continue
             # users[b][j] flags that skeleton first + j uses block b
             users: dict[int, bytearray] = {}
             for j, used in enumerate(group):
@@ -288,33 +288,30 @@ class _Frame:
         one bit per lane of the pass, bit l of bits[t] is bit t of the
         valuation of lane start + l, and layout (see _Layout) gives the
         blocks the pass needs and, parallel to them, the mask of the lanes
-        whose skeleton uses each one.  The masks are None when the pass
-        holds a single skeleton, whose blocks every lane uses."""
+        whose skeleton uses each one.  The layouts of all passes are built
+        at the first call for a width and kept for the next."""
         # passes start at multiples of width, and width and 2**total_bits
         # are powers of two: so a pass never cuts a skeleton it does not
         # hold alone, and valuation bits below low are lane-offset bits
         width = 1 << _CHUNK_BITS
         low = min(total_bits, _CHUNK_BITS)
         end = len(self.uses) << total_bits
-        if self._table is None:
-            layouts = self._layouts(total_bits)
-        else:
-            key = (total_bits, _CHUNK_BITS)
-            if self._kept is None or self._kept[0] != key:
-                self._kept = key, tuple(self._layouts(total_bits))
-            layouts = iter(self._kept[1])
+        # read once: threads share a kept frame, and another width may
+        # replace its layouts meanwhile (is_tautology's one frame)
+        key, kept = (total_bits, _CHUNK_BITS), self._kept
+        if kept is None or kept[0] != key:
+            kept = self._kept = key, tuple(self._layouts(total_bits))
+        layouts = kept[1]
         # a layout serves one pass, or every pass of one skeleton
         serves = max(width, 1 << total_bits)
         wide = [_pattern_column(t, _CHUNK_BITS) for t in range(low)]
         for start in range(0, end, width):
-            if start % serves == 0:
-                layout = next(layouts)
             n = min(width, end - start)
             full = (1 << n) - 1
             # the memoized columns are already as wide as a full pass
             bits = wide[:] if n == width else [c & full for c in wide]
             bits += [full if start >> t & 1 else 0 for t in range(low, total_bits)]
-            yield start, full, bits, layout
+            yield start, full, bits, layouts[start // serves]
 
     def columns(
         self,
@@ -341,59 +338,43 @@ class _Frame:
             got = memo.get(id(node))
             if got is not None:
                 return got
-            if isinstance(node, Atom):
+            # exact types, as _program dispatches: a subclass is no formula
+            kind = type(node)
+            if kind is Atom:
                 out = atoms.get(node.name, zero)
-            elif isinstance(node, Falsum):
+            elif kind is Falsum:
                 out = zero
-            elif isinstance(node, Not):
+            elif kind is Not:
                 out = [full ^ c for c in ev(node.child)]
-            elif isinstance(node, Implies):
+            elif kind is Implies:
                 left, right = ev(node.left), ev(node.right)
                 out = [(full ^ l) | r for l, r in zip(left, right)]
-            elif isinstance(node, And):
+            elif kind is And:
                 left, right = ev(node.left), ev(node.right)
                 out = [l & r for l, r in zip(left, right)]
-            elif isinstance(node, Or):
+            elif kind is Or:
                 left, right = ev(node.left), ev(node.right)
                 out = [l | r for l, r in zip(left, right)]
             # K, R and D combine the child over each block, cut the result
-            # to the block's lanes and OR it into the block's member slots.
-            # With one skeleton in the pass each slot lies in exactly one
-            # block and every lane uses it, so the result is just assigned.
-            elif isinstance(node, Know):
+            # to the block's lanes and OR it into the block's member slots
+            elif kind is Know:
                 child = ev(node.child)
                 out = [0] * m
-                if lanes is None:
-                    for slots, _, _ in blocks:
-                        acc = full
-                        for s in slots:
-                            acc &= child[s]
-                        for s in slots:
-                            out[s] = acc
-                else:
-                    for (slots, _, _), acc in zip(blocks, lanes):
-                        for s in slots:
-                            acc &= child[s]
-                        for s in slots:
-                            out[s] |= acc
-            elif isinstance(node, DeRe):
+                for (slots, _, _), acc in zip(blocks, lanes):
+                    for s in slots:
+                        acc &= child[s]
+                    for s in slots:
+                        out[s] |= acc
+            elif kind is DeRe:
                 child = ev(node.child)
                 out = [0] * m
-                if lanes is None:
-                    for _, _, reach in blocks:
-                        for s, cands in reach:
-                            acc = 0
-                            for c in cands:
-                                acc |= child[c]
-                            out[s] = acc
-                else:
-                    for (_, _, reach), mask in zip(blocks, lanes):
-                        for s, cands in reach:
-                            acc = 0
-                            for c in cands:
-                                acc |= child[c]
-                            out[s] |= acc & mask
-            elif isinstance(node, DeDicto):
+                for (_, _, reach), mask in zip(blocks, lanes):
+                    for s, cands in reach:
+                        acc = 0
+                        for c in cands:
+                            acc |= child[c]
+                        out[s] |= acc & mask
+            elif kind is DeDicto:
                 child = ev(node.child)
                 inhabited = []
                 for slots in self.world_slots:
@@ -402,20 +383,12 @@ class _Frame:
                         acc |= child[s]
                     inhabited.append(acc)
                 out = [0] * m
-                if lanes is None:
-                    for slots, worlds, _ in blocks:
-                        acc = full
-                        for u in worlds:
-                            acc &= inhabited[u]
-                        for s in slots:
-                            out[s] = acc
-                else:
-                    for (slots, worlds, _), acc in zip(blocks, lanes):
-                        for u in worlds:
-                            acc &= inhabited[u]
-                        for s in slots:
-                            out[s] |= acc
-            elif isinstance(node, MetaVar):
+                for (slots, worlds, _), acc in zip(blocks, lanes):
+                    for u in worlds:
+                        acc &= inhabited[u]
+                    for s in slots:
+                        out[s] |= acc
+            elif kind is MetaVar:
                 raise ValueError(f"cannot evaluate a schema; metavariable {node.name} is unbound")
             else:
                 raise TypeError(f"not a formula node: {node!r}")

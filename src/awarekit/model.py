@@ -513,9 +513,10 @@ def _resolve_pair(pair, agent_idx, world_idx) -> tuple[int, int]:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ModelFormatError(f"presence/valuation entries must be [agent, world] pairs, got {pair!r}")
     a, w = pair
-    if a not in agent_idx:
+    # names are strings; a list or object would not even hash
+    if not isinstance(a, str) or a not in agent_idx:
         raise ModelFormatError(f"unknown agent name {a!r}")
-    if w not in world_idx:
+    if not isinstance(w, str) or w not in world_idx:
         raise ModelFormatError(f"unknown world name {w!r}")
     return agent_idx[a], world_idx[w]
 
@@ -531,6 +532,8 @@ def model_from_json(text: str) -> tuple[EpistemicModel, list[str], list[str]]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("top level must be an object")
     for key in ("worlds", "agents", "presence", "indist", "valuation"):
@@ -554,7 +557,7 @@ def model_from_json(text: str) -> tuple[EpistemicModel, list[str], list[str]]:
             if not isinstance(blk, list):
                 raise ModelFormatError(f"indistinguishability blocks must be lists, got {blk!r}")
             for w in blk:
-                if w not in world_idx:
+                if not isinstance(w, str) or w not in world_idx:
                     raise ModelFormatError(f"unknown world name {w!r} in 'indist'")
             resolved.append([world_idx[w] for w in blk])
         indist_blocks[agent_idx[name]] = resolved

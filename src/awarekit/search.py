@@ -33,22 +33,22 @@ failing lane gives the first failing model; the witness point is its
 lowest failing pair in agent-major order, and it is re-verified against
 the reference checker before it leaves this module.
 
-The runs, their frames and each pass's block layout depend on the shape,
-the number of propositions, prune and the pass width, never on the
+The canonical runs, their frames and each pass's block layout depend on
+the shape, the number of propositions and the pass width, never on the
 formula.  So a process that decides many formulas at one bound reuses
 them as a plan per shape, and each decision redoes only the formula work:
 the valuation columns, the evaluation, the lowest failing lane and the
 re-verification.  The first sweep that reaches the end of a shape counts
 its skeletons; the next one keeps the plan if the shape has at most
-_PLAN_SKELETONS (8,192) skeletons.  Only canonical sweeps reach the end of
-a shape, since a full-order sweep always stops at a witness, so only
-canonical plans are kept: (3,3) has 174 canonical skeletons and (4,3)
-1,616, but (5,3) has 17,935 and always streams.  The plans kept hold at
-most that many skeletons in all, least recently used out first.  The
-plans of the (3,3) bound take about 0.2 MB with one proposition and
-0.5 MB with two, and those of the (4,3) bound 3.1 MB with one.  A process
-that decides once keeps nothing, and a sweep that stops at a witness
-keeps nothing of the shape it stopped in.
+_PLAN_SKELETONS (8,192) skeletons.  A full-order sweep always stops at a
+witness, so it never reaches the end of a shape: it streams its frames,
+and plans are kept of canonical skeletons alone.  (3,3) has 174
+canonical skeletons and (4,3) 1,616, but (5,3) has 17,935 and always
+streams.  The plans kept hold at most that many skeletons in all, least
+recently used out first.  The plans of the (3,3) bound take about 0.2 MB
+with one proposition and 0.5 MB with two, and those of the (4,3) bound
+3.1 MB with one.  A process that decides once keeps nothing, and a sweep
+that stops at a witness keeps nothing of the shape it stopped in.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -133,7 +133,7 @@ class AtomNotInBoundsError(ValueError):
 
 # ---------- bounded decisions ----------
 
-# plans and shape sizes by (W, A, number of props, prune, _CHUNK_BITS);
+# canonical plans and shape sizes by (W, A, number of props, _CHUNK_BITS);
 # see the module docstring
 _PLAN_SKELETONS = 8192
 _sizes: dict[tuple, int] = {}  # key -> skeleton count, once swept to the end
@@ -141,12 +141,13 @@ _plans: dict[tuple, tuple[_Frame, ...]] = {}  # least recently used first
 _plans_lock = threading.Lock()
 
 
-def _runs(worlds: int, agents: int, nprops: int, prune: bool) -> Iterator[_Frame]:
-    """The frames of the runs of one (worlds, agents) shape in enumeration
-    order: from the shape's kept plan, or else built as the skeletons
-    stream in.  Only a sweep that reaches the end of the shape records or
-    keeps anything, so one that stops at a witness leaves no partial plan."""
-    key = (worlds, agents, nprops, prune, checker._CHUNK_BITS)
+def _runs(worlds: int, agents: int, nprops: int) -> Iterator[_Frame]:
+    """The frames of the canonical runs of one (worlds, agents) shape in
+    enumeration order: from the shape's kept plan, or else built as the
+    skeletons stream in.  Only a sweep that reaches the end of the shape
+    records or keeps anything, so one that stops at a witness leaves no
+    partial plan."""
+    key = (worlds, agents, nprops, checker._CHUNK_BITS)
     with _plans_lock:
         plan = _plans.pop(key, None)
         if plan is not None:
@@ -159,7 +160,7 @@ def _runs(worlds: int, agents: int, nprops: int, prune: bool) -> Iterator[_Frame
     table: dict | None = {} if keep else None
     frames: list[_Frame] = []
     count = 0
-    for _, group in groupby(_iter_skeletons_wa(worlds, agents, prune), attrgetter("presence_mask")):
+    for _, group in groupby(_iter_skeletons_wa(worlds, agents, True), attrgetter("presence_mask")):
         frame = _Frame(group, table)
         count += len(frame.uses)
         if keep:
@@ -224,18 +225,23 @@ def _scan(
 ) -> tuple[int, tuple[EpistemicModel, Point] | None]:
     props, nprops = bounds.props, len(bounds.props)
     checked = 0
-    for w, a in product(range(1, bounds.max_worlds + 1), range(1, bounds.max_agents + 1)):
-        lanes, hit = _sweep(f, props, _runs(w, a, nprops, True))
-        if hit is None:
-            checked += lanes if prune else _model_count(w, a, nprops)
-            continue
-        if not prune:
-            # a relabeled countermodel is a countermodel, so this shape's
-            # first failing model in full order exists; find it
-            lanes, hit = _sweep(f, props, _runs(w, a, nprops, False))
+    # nested loops: product() would first turn both ranges into tuples,
+    # which a bound past the C size limit cannot be
+    for w in range(1, bounds.max_worlds + 1):
+        for a in range(1, bounds.max_agents + 1):
+            lanes, hit = _sweep(f, props, _runs(w, a, nprops))
             if hit is None:
-                raise AssertionError("canonical and full sweeps disagree; please report")
-        return checked + lanes, _witness(f, props, *hit)
+                checked += lanes if prune else _model_count(w, a, nprops)
+                continue
+            if not prune:
+                # a relabeled countermodel is a countermodel, so this
+                # shape's first failing model in full order exists; find it
+                # in a stream of frames, which nothing keeps
+                runs = groupby(_iter_skeletons_wa(w, a, False), attrgetter("presence_mask"))
+                lanes, hit = _sweep(f, props, (_Frame(group) for _, group in runs))
+                if hit is None:
+                    raise AssertionError("canonical and full sweeps disagree; please report")
+            return checked + lanes, _witness(f, props, *hit)
     return checked, None
 
 

@@ -220,6 +220,20 @@ class TestEvaluatorEngine:
         with pytest.raises(UnboundMetavariableError, match="PSI"):
             ModelEvaluator(model).first_failures(schema, [{"PHI": parse("p")}])
 
+    # the engine dispatches on exact node types, as render does, so a
+    # subclass of a node class is no formula node either
+    @pytest.mark.parametrize(
+        "node",
+        [object(), "p", Not(object()), And(parse("p"), 3), type("Negation", (Not,), {})(parse("p"))],
+        ids=["object", "str", "under-not", "under-and", "not-subclass"],
+    )
+    def test_rejects_what_is_not_a_formula_node(self, museum, node):
+        ev = ModelEvaluator(museum[0])
+        with pytest.raises(TypeError, match="^not a formula node"):
+            ev.holds_everywhere(node)
+        with pytest.raises(TypeError, match="^not a formula node"):
+            ev.first_failures(parse("PHI -> K PHI"), [{"PHI": parse("p")}, {"PHI": node}])
+
 
 class TestExplain:
     def test_dere_failure_names_the_absent_candidate(self, museum):

@@ -153,6 +153,14 @@ class TestValid:
         args = ("valid", "D p -> R p", "--max-worlds", "3", "--max-agents", "3", "--json")
         assert run(capsys, *args) == run(capsys, *args)
 
+    @pytest.mark.parametrize("flag", ["--max-worlds", "--max-agents"])
+    def test_bound_past_the_size_limit(self, capsys, flag):
+        # the (1,1) countermodel, not an OverflowError from sizing the bound
+        argv = ["valid", "K p", "--max-worlds", "1", "--max-agents", "1"]
+        code, out, err = run(capsys, *argv, flag, "99999999999999999999")
+        assert (code, out, err) == (1, run(capsys, *argv)[1], "")
+        assert out.startswith("countermodel (falsified at world w0, agent a0):")
+
     def test_prune_keeps_verdict(self, capsys):
         code, out, _ = run(
             capsys, "valid", "K p -> p", "--max-worlds", "2", "--max-agents", "2", "--prune"
@@ -261,6 +269,25 @@ class TestLint:
         assert code == 1 and "proposition-name: invalid proposition name 'PHI'" in out
         code, out, err = run(capsys, "check", str(bad), "w", "a", "true")
         assert code == 2 and out == "" and "invalid proposition name 'PHI'" in err
+
+    @pytest.mark.parametrize("command", [["lint"], ["check", "w", "a", "p"]], ids=["lint", "check"])
+    def test_deeply_nested_model_file_exits_two(self, tmp_path, capsys, command):
+        # json.loads gives up with RecursionError; that is the model file's
+        # fault, not a formula's
+        deep = tmp_path / "deep.model.json"
+        deep.write_text('{"worlds": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        code, out, err = run(capsys, command[0], str(deep), *command[1:])
+        assert (code, out, err) == (2, "", "error: not valid JSON: nested too deeply\n")
+
+    @pytest.mark.parametrize("command", [["lint"], ["check", "w", "a", "p"]], ids=["lint", "check"])
+    def test_name_that_is_a_list_exits_two(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(
+            '{"worlds": ["w"], "agents": ["a"], "presence": [["a", "w"]],'
+            ' "indist": {"a": [[["w"]]]}, "valuation": {}}'
+        )
+        code, out, err = run(capsys, command[0], str(bad), *command[1:])
+        assert (code, out, err) == (2, "", "error: unknown world name ['w'] in 'indist'\n")
 
     def test_dot_export(self, tmp_path, capsys):
         dot = tmp_path / "museum.dot"

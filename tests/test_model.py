@@ -292,6 +292,29 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError):
             model_from_json("worlds: nope")
 
+    @pytest.mark.parametrize("depth", [2_000, 200_000])
+    def test_nesting_too_deep_for_json_rejected(self, depth):
+        with pytest.raises(ModelFormatError, match="^not valid JSON: nested too deeply$"):
+            model_from_json('{"worlds": ' + "[" * depth + "]" * depth + "}")
+
+    @pytest.mark.parametrize(
+        "presence,indist,valuation",
+        [
+            ('[[["a"], "w"]]', '{"a": [["w"]]}', "{}"),
+            ('[["a", {"w": 1}]]', '{"a": [["w"]]}', "{}"),
+            ('[["a", "w"]]', '{"a": [[["w"]]]}', "{}"),
+            ('[["a", "w"]]', '{"a": [["w"]]}', '{"p": [["a", ["w"]]]}'),
+        ],
+        ids=["presence-agent", "presence-world", "indist-world", "valuation-world"],
+    )
+    def test_name_that_does_not_hash_rejected(self, presence, indist, valuation):
+        text = (
+            f'{{"worlds": ["w"], "agents": ["a"], "presence": {presence},'
+            f' "indist": {indist}, "valuation": {valuation}}}'
+        )
+        with pytest.raises(ModelFormatError, match="^unknown (agent|world) name"):
+            model_from_json(text)
+
     def test_valuation_outside_presence_is_kept_for_validate(self):
         # the loader must not silently drop it; validate reports it
         text = (

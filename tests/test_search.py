@@ -122,6 +122,15 @@ class TestDecideBounded:
         assert v.model.valuation["p"] == {(0, 0)}
         assert (v.point.world, v.point.agent) == (0, 0)
 
+    @pytest.mark.parametrize("prune", [False, True], ids=["plain", "pruned"])
+    @pytest.mark.parametrize("worlds,agents", [(10**20, 1), (1, 10**20)], ids=["worlds", "agents"])
+    def test_bound_past_the_size_limit(self, worlds, agents, prune):
+        # the scan loops over shapes lazily, so a countermodel in the first
+        # shape comes back whatever the bound; ranges this long have no len()
+        v = decide_bounded(parse("K p"), Bounds(worlds, agents, ("p",)), prune)
+        assert v == decide_bounded(parse("K p"), Bounds(1, 1, ("p",)), prune)
+        assert _witness_shape(v) == (1, 1)
+
     @pytest.mark.parametrize("depth", [600, 900])
     def test_deeply_nested_negation(self, depth):
         # an even number of negations over p: falsified where p is false
@@ -215,15 +224,16 @@ class TestPruning:
 
 
 class TestChunkedSweep:
+    WIDE = Bounds(2, 2, ("p", "q"))
+    TEXTS = ["K p -> p", "R p -> K R q", "D p -> R p", "p -> q", "K (p -> q) -> (K p -> K q)"]
+
     def test_tiny_chunks_change_nothing(self, monkeypatch):
         # force the column engine through every pass layout: several
         # skeletons in one pass, one presence run over several passes of
         # whole skeletons, and one skeleton over several passes
         import awarekit.checker as engine
 
-        wide = Bounds(2, 2, ("p", "q"))
-        texts = ["K p -> p", "R p -> K R q", "D p -> R p", "p -> q", "K (p -> q) -> (K p -> K q)"]
-        baseline = [decide_bounded(parse(t), wide) for t in texts]
+        baseline = [decide_bounded(parse(t), self.WIDE) for t in self.TEXTS]
         passes = engine._Frame._passes
         seen = set()
 
@@ -243,13 +253,40 @@ class TestChunkedSweep:
         monkeypatch.setattr(engine._Frame, "_passes", spy)
         for bits in (3, 5, 9):
             monkeypatch.setattr(engine, "_CHUNK_BITS", bits)
-            chunked = [decide_bounded(parse(t), wide) for t in texts]
+            chunked = [decide_bounded(parse(t), self.WIDE) for t in self.TEXTS]
             assert chunked == baseline, bits
         assert seen == {
             "skeletons share a pass",
             "run over several passes",
             "skeleton over several passes",
         }
+
+    def test_every_column_lies_within_full(self, monkeypatch):
+        # a pass of one skeleton masks its blocks with -1, all lanes, and K
+        # and D start from the mask: that cuts nothing, so it is sound only
+        # while every column, seeded or computed, has no bit outside full
+        import awarekit.checker as engine
+
+        columns = engine._Frame.columns
+        masks = set()
+
+        def spy(frame, roots, atoms, full, memo, layout):
+            out = columns(frame, roots, atoms, full, memo, layout)
+            for col in [*out, *memo.values()]:
+                assert len(col) == frame.m
+                assert all(0 <= c <= full for c in col)
+            masks.update(-1 if mask == -1 else "lanes" for mask in layout[1])
+            return out
+
+        monkeypatch.setattr(engine._Frame, "columns", spy)
+        for bits in (3, 5, 9, engine._CHUNK_BITS):
+            monkeypatch.setattr(engine, "_CHUNK_BITS", bits)
+            for t in self.TEXTS:
+                decide_bounded(parse(t), self.WIDE)
+        assert masks == {-1, "lanes"}
+        masks.clear()
+        assert fuzz_soundness(3, 11, Bounds(3, 3, ("p", "q")), 3).ok
+        assert masks == {-1}
 
 
 class TestPackedRuns:
@@ -440,8 +477,8 @@ class TestPlanReuse:
         monkeypatch.setattr(search, "_PLAN_SKELETONS", cap)
         for _ in range(3):
             assert [decide_bounded(parse(t), bounds) for t in texts] == want
-        assert search._sizes[2, 3, 1, True, _CHUNK_BITS] == 24
-        assert all(prune for _, _, _, prune, _ in search._sizes)
+        assert search._sizes[2, 3, 1, _CHUNK_BITS] == 24
+        assert set(search._sizes) <= {(w, a, 1, _CHUNK_BITS) for w in (1, 2) for a in (1, 2, 3)}
         if cap < 24:
             assert (2, 3) not in {key[:2] for key in search._plans}
         else:

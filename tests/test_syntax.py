@@ -333,6 +333,40 @@ class TestTautology:
         assert is_tautology(parse(f"{chain} -> {chain}"))
         assert not is_tautology(parse(f"{chain} -> K {chain}"))
 
+    def test_concurrent_checks_of_several_widths_agree(self):
+        # every check runs on one shared frame, which keeps the pass
+        # layouts of the last width it saw
+        import sys
+        import threading
+
+        cases = []
+        for n in (1, 3, 6, 17):
+            conj = " & ".join(f"x{i}" for i in range(n))
+            cases += [(parse(f"{conj} -> x0"), True), (parse(f"~({conj})"), False)]
+        wrong: list = []
+
+        def work(k):
+            try:
+                for i in range(200):
+                    f, want = cases[(i + k) % len(cases)]
+                    if is_tautology(f) != want:
+                        wrong.append((k, i))
+            except Exception as exc:  # reported below, with the thread's place
+                wrong.append((k, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
     @settings(max_examples=300, deadline=None)
     @given(formulas(max_depth=4))
     def test_agrees_with_truth_table_oracle(self, f):
