@@ -19,7 +19,6 @@ one-pair frame whose leaves are the variables of the boolean abstraction.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -240,12 +239,13 @@ class _Frame:
 
     def skeleton(self, i: int) -> _Skeleton:
         """Skeleton i of the run, rebuilt from the blocks it uses."""
-        W = self._first.world_count
-        parts: list[list[tuple[int, ...]]] = [[] for _ in range(self._first.agent_count)]
+        first = self._first
+        W = first.world_count
+        parts: list[list[tuple[int, ...]]] = [[] for _ in range(first.agent_count)]
         for b in self.uses[i]:
             slots, blk, _ = self.blocks[b]
             parts[self.pairs[slots[0]] // W].append(blk)
-        return replace(self._first, partitions=tuple(map(tuple, parts)))
+        return _Skeleton(W, first.agent_count, first.presence_mask, tuple(map(tuple, parts)))
 
     def plain(self, i: int) -> _Layout:
         """The layout of a pass that holds skeleton i alone.  Every lane of

@@ -28,9 +28,12 @@ from .model import (
 )
 from .proof import ProofError, ProofFileError, default_registry, check as check_proof, parse_proof
 from .search import Countermodel, decide_bounded, fuzz_soundness
-from .syntax import ParseError, atoms, awareness_tower, metavariables, parse, render
+from .syntax import ParseError, atoms, awareness_tower, metavariables, parse, render, rendered_length
 
 OK, FAIL, USAGE = 0, 1, 2
+
+# expand refuses to print a longer formula: each level doubles the text
+MAX_EXPAND_CHARS = 10_000_000
 
 
 def _die(message: str) -> int:
@@ -263,7 +266,16 @@ def cmd_expand(args) -> int:
         formula = parse(args.formula)
     except ParseError as exc:
         return _die(str(exc))
-    expanded = awareness_tower(formula, args.levels)
+    # the text more than doubles with each level, so the loop refuses
+    # within about 24 levels, before building the deeper ones
+    expanded = formula
+    for _ in range(args.levels):
+        expanded = awareness_tower(expanded, 1)
+        if rendered_length(expanded) > MAX_EXPAND_CHARS:
+            return _die(
+                f"the {args.levels}-level expansion is longer than "
+                f"{MAX_EXPAND_CHARS} characters"
+            )
     if args.json:
         print(json.dumps({"formula": render(expanded)}, indent=2))
     else:

@@ -13,10 +13,10 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
+from ._record import Record, _set
 from .syntax import is_prop_name
 
 __all__ = [
@@ -44,16 +44,18 @@ class AgentNotPresentError(ValueError):
         super().__init__(f"agent {agent} is not present at world {world}")
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A (world, agent) pair; satisfaction is only defined at present points."""
 
     world: int
     agent: int
 
+    def __init__(self, world: int, agent: int):
+        _set(self, "world", world)
+        _set(self, "agent", agent)
 
-@dataclass(frozen=True)
-class Violation:
+
+class Violation(Record):
     code: str
     message: str
 
@@ -61,8 +63,7 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Search-space bounds: world/agent caps and the propositions in play."""
 
     max_worlds: int
@@ -88,8 +89,7 @@ def _canonical_partition(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ..
     return tuple(sorted(cleaned, key=lambda b: b[0]))
 
 
-@dataclass(frozen=True)
-class EpistemicModel:
+class EpistemicModel(Record):
     """Worlds and agents are dense integer indices; names live in files only.
 
     Invariants checked by validate():
@@ -286,6 +286,12 @@ def _random_partition(rng: random.Random, elems: list[int]) -> tuple[tuple[int, 
     return _canonical_partition(blocks)
 
 
+# random_model draws a partition by counting the partitions of an agent's
+# worlds, which takes a recursion as deep as their number and big integers
+# of about as many digits, and its presence grid has worlds x agents pairs
+MAX_RANDOM_SIZE = 256
+
+
 def random_model(seed: int, bounds: Bounds, ensure_inhabited: bool = True) -> EpistemicModel:
     """Deterministic random model within the bounds.
 
@@ -294,7 +300,16 @@ def random_model(seed: int, bounds: Bounds, ensure_inhabited: bool = True) -> Ep
     world is patched with one random agent; each agent's partition is drawn
     uniformly from the set partitions of her worlds; each proposition gets a
     random subset of presence.  The output always validates cleanly.
+
+    Raises ValueError when the bounds allow more than MAX_RANDOM_SIZE (256)
+    worlds or agents.
     """
+    if max(bounds.max_worlds, bounds.max_agents) > MAX_RANDOM_SIZE:
+        raise ValueError(
+            f"random models have at most {MAX_RANDOM_SIZE} worlds and "
+            f"{MAX_RANDOM_SIZE} agents; the bounds allow {bounds.max_worlds} "
+            f"and {bounds.max_agents}"
+        )
     rng = random.Random(seed)
     worlds = rng.randint(1, bounds.max_worlds)
     agents = rng.randint(1, bounds.max_agents)
@@ -319,8 +334,7 @@ def random_model(seed: int, bounds: Bounds, ensure_inhabited: bool = True) -> Ep
 # ---------- exhaustive enumeration ----------
 
 
-@dataclass(frozen=True)
-class _Skeleton:
+class _Skeleton(Record):
     """A model minus its valuation: counts, presence bitmask, partitions."""
 
     world_count: int

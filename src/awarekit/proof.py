@@ -14,12 +14,11 @@ scripts reuse them through Cite lines carrying explicit substitutions.
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 
+from ._record import Record
 from .syntax import (
     Atom,
     DeDicto,
@@ -104,41 +103,38 @@ NON_TAUT_AXIOMS: tuple[AxiomId, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(Record):
     axiom: AxiomId
 
 
-@dataclass(frozen=True)
-class Hyp:
+class Hyp(Record):
     index: int
 
 
-@dataclass(frozen=True)
-class MP:
+class MP(Record):
     antecedent: int
     implication: int
 
 
-@dataclass(frozen=True)
-class Nec:
+class Nec(Record):
     source: int
 
 
-@dataclass(frozen=True)
-class MonoD:
+class MonoD(Record):
     source: int
 
 
-@dataclass(frozen=True)
-class MonoR:
+class MonoR(Record):
     source: int
 
 
-@dataclass(frozen=True)
-class Cite:
+class Cite(Record):
     name: str
-    substitution: dict[str, Formula] = field(default_factory=dict)
+    substitution: dict[str, Formula]
+
+    def __init__(self, name: str, substitution: dict[str, Formula] | None = None):
+        # each Cite without a substitution gets its own empty one
+        super().__init__(name, {} if substitution is None else substitution)
 
 
 Justification = Axiom | Hyp | MP | Nec | MonoD | MonoR | Cite
@@ -155,14 +151,12 @@ _INDEX_RULES: dict[type, str] = {
 _MONO_WRAP = {MonoD: DeDicto, MonoR: DeRe}
 
 
-@dataclass(frozen=True)
-class ProofLine:
+class ProofLine(Record):
     formula: Formula
     justification: Justification
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(Record):
     """hypotheses is None for theorem mode; a tuple (possibly empty) otherwise."""
 
     lines: tuple[ProofLine, ...]
@@ -195,8 +189,7 @@ class ProofError(ValueError):
         super().__init__(f"{where}: {rule}: {reason}")
 
 
-@dataclass(frozen=True)
-class TheoremEntry:
+class TheoremEntry(Record):
     name: str
     schema: Formula
     proof: ProofScript
@@ -483,6 +476,9 @@ def deduction(
 
 
 def _lift_name(conclusion: Formula) -> str:
+    # imported here: hashlib is slow to import, and only lifting needs it
+    import hashlib
+
     digest = hashlib.sha256(render(conclusion).encode("utf-8")).hexdigest()[:12]
     return f"k_distribution_{digest}"
 
@@ -825,7 +821,7 @@ def _parse_just(text: str, lineno: int) -> Justification:
         return Axiom(_KEYWORD_TO_AXIOM[head])
     rule = _KEYWORD_TO_RULE.get(head)
     if rule is not None:
-        return rule(*(i - 1 for i in _ref(rest, len(fields(rule)), lineno, head)))
+        return rule(*(i - 1 for i in _ref(rest, len(rule.__match_args__), lineno, head)))
     if head == "cite":
         m = re.fullmatch(r"(\S+)(?:\s*\[(.*)\])?", rest.strip())
         if not m:
@@ -879,4 +875,4 @@ def _format_just(just: Justification) -> str:
     keyword = _INDEX_RULES.get(type(just))
     if keyword is None:
         raise TypeError(f"unknown justification {just!r}")
-    return " ".join([keyword, *(str(getattr(just, f.name) + 1) for f in fields(just))])
+    return " ".join([keyword, *(str(i + 1) for i in just._values())])

@@ -55,12 +55,12 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import checker
+from ._record import Record
 from .checker import ModelEvaluator, _Frame, satisfies
 from .model import (
     Bounds,
@@ -104,16 +104,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ValidUpToBounds:
+class ValidUpToBounds(Record):
     """No countermodel exists within the bounds; models_checked were scanned."""
 
     bounds: Bounds
     models_checked: int
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(Record):
     """A model and a present point at which the queried formula is false."""
 
     model: EpistemicModel
@@ -283,16 +281,14 @@ def find_countermodel(
 # ---------- soundness fuzzing ----------
 
 
-@dataclass(frozen=True)
-class FuzzViolation:
+class FuzzViolation(Record):
     model: EpistemicModel
     point: Point
     schema_id: str
     substitution: dict[str, Formula]
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(Record):
     trials: int
     schema_instances_checked: int
     violations: tuple[FuzzViolation, ...]

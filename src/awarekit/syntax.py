@@ -17,8 +17,9 @@ parser without ambiguity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._record import Record, _set
 
 __all__ = [
     "Formula",
@@ -69,82 +70,155 @@ def is_prop_name(name: str) -> bool:
     return _IDENT_RE.fullmatch(name) is not None and name not in _RESERVED and not is_metavar_name(name)
 
 
-class Formula:
-    """Base class for formula and schema tree nodes. Immutable."""
+class Formula(Record):
+    """Base class for formula and schema tree nodes. Immutable.
 
-    __slots__ = ()
+    Two nodes are equal when they are the same tree: the same class at
+    every position and equal names at the leaves.  ``==`` and ``hash`` walk
+    the trees with an explicit stack, so they take any nesting, and shared
+    subtrees cost them linear time.  A node keeps its hash once computed.
+    """
+
+    __slots__ = ("_hash",)
 
     def __str__(self) -> str:
         return render(self)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a walk that passes _TREE_PAIRS pairs starts over and compares each
+        # pair once, so shared subtrees cost linear time, and formulas of
+        # the usual size skip the bookkeeping
+        equal = _same_trees(self, other, None)
+        return _same_trees(self, other, set()) if equal is None else equal
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # a node waits on the stack until its formula fields are hashed
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if hasattr(node, "_hash"):
+                stack.pop()
+                continue
+            values = node._values()
+            waiting = [v for v in values if isinstance(v, Formula) and not hasattr(v, "_hash")]
+            if waiting:
+                stack += waiting
+                continue
+            stack.pop()
+            _set(node, "_hash", hash((node.__class__, *values)))
+        return self._hash
+
+
+_TREE_PAIRS = 10_000
+
+
+def _same_trees(f: Formula, g: Formula, seen: set | None) -> bool | None:
+    """Whether two nodes of one class are equal trees, by an explicit-stack
+    walk over pairs of nodes.  With seen None the walk gives up, returning
+    None, past _TREE_PAIRS pairs; otherwise it records each pair in seen and
+    walks under it once."""
+    budget = _TREE_PAIRS
+    stack = [f, g]
+    while stack:
+        b = stack.pop()
+        a = stack.pop()
+        for name in a.__match_args__:
+            x, y = getattr(a, name), getattr(b, name)
+            if x is y:
+                continue
+            if x.__class__ is not y.__class__ or not isinstance(x, Formula):
+                if x != y:
+                    return False
+            elif seen is None:
+                budget -= 1
+                if budget < 0:
+                    return None
+                stack += (x, y)
+            elif (id(x), id(y)) not in seen:
+                seen.add((id(x), id(y)))
+                stack += (x, y)
+    return True
+
+
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if is_prop_name(self.name):
-            return
-        if self.name in _RESERVED:
-            raise ValueError(f"{self.name!r} is a reserved word, not a proposition name")
-        if is_metavar_name(self.name):
-            raise ValueError(f"{self.name!r} is a metavariable name; use MetaVar")
-        raise ValueError(f"invalid proposition name {self.name!r}")
+    def __init__(self, name: str):
+        if not is_prop_name(name):
+            if name in _RESERVED:
+                raise ValueError(f"{name!r} is a reserved word, not a proposition name")
+            if is_metavar_name(name):
+                raise ValueError(f"{name!r} is a metavariable name; use MetaVar")
+            raise ValueError(f"invalid proposition name {name!r}")
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class MetaVar(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not is_metavar_name(self.name):
+    def __init__(self, name: str):
+        if not is_metavar_name(name):
             raise ValueError(
-                f"invalid metavariable name {self.name!r}; expected an uppercase "
+                f"invalid metavariable name {name!r}; expected an uppercase "
                 "Greek letter name, optionally followed by digits"
             )
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class Falsum(Formula):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        pass
 
 
-@dataclass(frozen=True, slots=True)
-class Not(Formula):
-    child: Formula
+class _Unary(Formula):
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: Formula):
+        _set(self, "child", child)
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Know(Formula):
-    child: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class DeRe(Formula):
-    child: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class DeDicto(Formula):
-    child: Formula
+class Know(_Unary):
+    __slots__ = ()
+
+
+class DeRe(_Unary):
+    __slots__ = ()
+
+
+class DeDicto(_Unary):
+    __slots__ = ()
 
 
 FALSE = Falsum()
@@ -364,6 +438,22 @@ def render(f: Formula) -> str:
         text.append(sym.join(parts) if len(parts) == 2 else sym + parts[0])
         prec.append(p)
     return text[-1]
+
+
+def rendered_length(f: Formula) -> int:
+    """len(render(f)), computed without building the text, whose length
+    can be exponential in the number of distinct subtrees."""
+    length: list[int] = []
+    prec: list[int] = []
+    for kind, *args in _program([f])[0]:
+        if kind in _OPERATORS:
+            sym, p, least = _OPERATORS[kind]
+            length.append(len(sym) + sum(length[c] + 2 * (prec[c] < m) for c, m in zip(args, least)))
+        else:
+            length.append(len(args[0]))
+            p = _LEAF_PREC
+        prec.append(p)
+    return length[-1]
 
 
 # ---------- derived forms and schema tools ----------

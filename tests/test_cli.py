@@ -237,6 +237,14 @@ class TestFuzz:
         code, out, err = run(capsys, "fuzz", "--trials", "2", "--pool-depth", "-1")
         assert (code, out, err) == (2, "", "error: --pool-depth must be at least 0\n")
 
+    @pytest.mark.parametrize(
+        "bound", [["--max-worlds", "100000000000", "--max-agents", "1"], ["--max-agents", "257"]]
+    )
+    def test_bounds_past_the_random_model_cap_exit_two(self, capsys, bound):
+        code, out, err = run(capsys, "fuzz", "--trials", "1", *bound)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: random models have at most 256 worlds and 256 agents")
+
     def test_byte_identical_reruns(self, capsys):
         a = run(capsys, "fuzz", "--trials", "15", "--seed", "9", "--json")
         b = run(capsys, "fuzz", "--trials", "15", "--seed", "9", "--json")
@@ -323,6 +331,17 @@ class TestExpand:
         text = "~" * 10000 + "p"
         code, out, _ = run(capsys, "expand", text, "0")
         assert code == 0 and out == text + "\n"
+
+    def test_longest_expansion_under_the_cap(self, capsys):
+        code, out, _ = run(capsys, "expand", "p", "19")
+        assert code == 0 and len(out) == 5_242_869 + 1
+
+    @pytest.mark.parametrize("levels", ["20", "30", "1000000000000"])
+    @pytest.mark.parametrize("json_twin", [[], ["--json"]])
+    def test_expansion_past_the_cap_exits_two(self, capsys, levels, json_twin):
+        code, out, err = run(capsys, "expand", "p", levels, *json_twin)
+        assert (code, out) == (2, "")
+        assert err == f"error: the {levels}-level expansion is longer than 10000000 characters\n"
 
 
 class TestUsage:

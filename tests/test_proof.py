@@ -449,6 +449,17 @@ class TestLiftKnowledge:
             lift_knowledge(script, Registry())
         assert str(got.value) == str(want.value)
 
+    def test_registered_name_is_stable_golden(self):
+        # the name hashes the rendered conclusion with sha256
+        reg = Registry()
+        script = ProofScript(
+            (ProofLine(P, Hyp(0)), ProofLine(parse("p -> q"), Hyp(1)), ProofLine(Q, MP(0, 1))),
+            (P, parse("p -> q")),
+        )
+        out = lift_knowledge(script, reg)
+        assert reg.names() == ["k_distribution_2eca3db1f0bd"]
+        assert any(line.justification == Cite("k_distribution_2eca3db1f0bd") for line in out.lines)
+
     def test_theorem_conclusions_are_sound(self):
         reg = Registry()
         script = ProofScript(

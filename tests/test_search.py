@@ -566,6 +566,17 @@ class TestFuzz:
         with pytest.raises(ValueError, match="pool_depth must be at least 0"):
             fuzz_soundness(2, 7, Bounds(2, 2, ("p",)), -1)
 
+    @pytest.mark.parametrize("bounds", [Bounds(10**11, 1, ("p",)), Bounds(4, 257, ("p",))])
+    def test_bounds_past_the_random_model_cap(self, bounds):
+        with pytest.raises(ValueError, match="random models have at most 256 worlds and 256 agents"):
+            fuzz_soundness(1, 7, bounds, 2)
+        with pytest.raises(ValueError, match="the bounds allow"):
+            random_model(7, bounds)
+
+    def test_bounds_at_the_random_model_cap(self):
+        report = fuzz_soundness(1, 7, Bounds(256, 1, ("p",)), 1, instances_per_schema=1)
+        assert report.violations == ()
+
     def test_deterministic(self):
         a = fuzz_soundness(20, 5, Bounds(3, 3, ("p", "q")), 2)
         b = fuzz_soundness(20, 5, Bounds(3, 3, ("p", "q")), 2)

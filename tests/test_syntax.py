@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from awarekit.syntax import (
     UnboundMetavariableError,
     atoms,
     awareness_tower,
+    children,
     instantiate,
     is_prop_name,
     is_tautology,
@@ -26,9 +29,10 @@ from awarekit.syntax import (
     modal_depth,
     parse,
     render,
+    rendered_length,
     subformula_closure,
 )
-from awarekit.syntax import _program
+from awarekit.syntax import _program, _same_trees
 
 from conftest import formulas
 
@@ -176,6 +180,71 @@ class TestRender:
         # the top unit is the whole chain, so the engine never descends
         assert not is_tautology(f)
         assert is_tautology(Implies(f, copy))
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(max_depth=3), st.integers(0, 4))
+    def test_rendered_length(self, f, levels):
+        f = awareness_tower(f, levels)
+        assert rendered_length(f) == len(render(f))
+
+
+def shape(f):
+    """Structural reference for node equality: nested tuples of each node's
+    class name, its name if a leaf, and its children, built by recursion."""
+    return (type(f).__name__, getattr(f, "name", None), *map(shape, children(f)))
+
+
+class TestNodeEquality:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        formulas(props=("p", "q"), max_depth=3),
+        formulas(props=("p", "q"), max_depth=3),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    def test_agrees_with_structural_reference(self, f, g, m, n):
+        # towers share each level's subtree between R and D
+        f, g = awareness_tower(f, m), awareness_tower(g, n)
+        twin = parse(render(f))
+        assert (f == g) == (shape(f) == shape(g)) == (g == f)
+        assert (f != g) == (shape(f) != shape(g))
+        assert twin == f and hash(twin) == hash(f)
+        if f == g:
+            assert hash(f) == hash(g)
+        if type(f) is type(g):
+            # the walk that compares each pair once, which == runs past
+            # _TREE_PAIRS pairs
+            assert _same_trees(f, g, set()) == (shape(f) == shape(g))
+        for node in subformula_closure(f):
+            assert (node == f) == (shape(node) == shape(f))
+
+    def test_other_types_are_not_implemented(self):
+        assert P.__eq__("p") is NotImplemented and P != "p"
+        assert Not(P).__eq__(Know(P)) is NotImplemented and Not(P) != Know(P)
+        assert Not(P) != ("Not", P)
+
+    def test_hash_is_cached(self):
+        f = parse("K (p -> q) & D ~q")
+        assert hash(f) == hash(f) == hash(parse("K (p -> q) & D ~q"))
+        assert f._hash == hash(f)
+
+    @pytest.mark.parametrize("link", ["~", "K ", "R ", "D ", "p -> "], ids=["not", "K", "R", "D", "implies"])
+    def test_deep_chains(self, link):
+        f, twin, other = parse(link * 10000 + "q"), parse(link * 10000 + "q"), parse(link * 10000 + "p")
+        assert f == twin and not f != twin and f != other
+        assert hash(f) == hash(twin)
+        closure = subformula_closure(f)
+        assert len(closure) == 10001 + (link == "p -> ")
+        assert f in closure and twin in closure and other not in closure
+
+    def test_shared_subtrees_take_linear_time(self):
+        # 60 levels are 2**60 paths but 181 distinct nodes
+        start = time.perf_counter()
+        f, twin, other = (awareness_tower(Atom(name), 60) for name in "ppq")
+        assert f == twin and f != other
+        assert hash(f) == hash(twin) != hash(other)
+        assert len(subformula_closure(f)) == 181
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTower:
