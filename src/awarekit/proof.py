@@ -751,8 +751,11 @@ def parse_proof(text: str) -> tuple[str | None, ProofScript]:
     hypothesis list may be empty).  Numbered lines follow, ``<n>: <formula>
     by <justification>``, numbered consecutively from 1; references use
     those numbers, and ``hyp <i>`` counts hypotheses from 1.  ``#`` starts
-    a comment.
+    a comment.  The header keyword is followed by whitespace or ends the
+    line.  Every formula of the file is parsed through one node table, so
+    equal subformulas anywhere in the file are one object.
     """
+    table: dict = {}
     header: str | None = None
     name: str | None = None
     hypotheses: tuple[Formula, ...] | None = None
@@ -763,12 +766,13 @@ def parse_proof(text: str) -> tuple[str | None, ProofScript]:
         if not stripped:
             continue
         if header is None:
-            if stripped.startswith("theorem"):
+            keyword = stripped.split(None, 1)[0]
+            if keyword == "theorem":
                 name = stripped[len("theorem") :].strip()
                 if not name:
                     raise ProofFileError(lineno, "theorem header needs a name")
                 hypotheses = None
-            elif stripped == "from" or stripped.startswith("from "):
+            elif keyword == "from":
                 rest = stripped[len("from") :].strip()
                 hyps = []
                 if rest:
@@ -777,7 +781,7 @@ def parse_proof(text: str) -> tuple[str | None, ProofScript]:
                         if not part:
                             continue
                         try:
-                            hyps.append(parse(part))
+                            hyps.append(parse(part, _table=table))
                         except ParseError as exc:
                             raise ProofFileError(lineno, f"bad hypothesis: {exc}") from None
                 hypotheses = tuple(hyps)
@@ -799,10 +803,10 @@ def parse_proof(text: str) -> tuple[str | None, ProofScript]:
             raise ProofFileError(lineno, "missing 'by <justification>'")
         formula_text, just_text = body.rsplit(" by ", 1)
         try:
-            formula = parse(formula_text.strip())
+            formula = parse(formula_text.strip(), _table=table)
         except ParseError as exc:
             raise ProofFileError(lineno, f"bad formula: {exc}") from None
-        lines.append(ProofLine(formula, _parse_just(just_text.strip(), lineno)))
+        lines.append(ProofLine(formula, _parse_just(just_text.strip(), lineno, table)))
     if header is None:
         raise ProofFileError(1, "empty proof file")
     if not lines:
@@ -810,7 +814,7 @@ def parse_proof(text: str) -> tuple[str | None, ProofScript]:
     return name, ProofScript(tuple(lines), hypotheses)
 
 
-def _parse_just(text: str, lineno: int) -> Justification:
+def _parse_just(text: str, lineno: int, table: dict) -> Justification:
     parts = text.split(None, 1)
     if not parts:
         raise ProofFileError(lineno, "empty justification")
@@ -834,7 +838,7 @@ def _parse_just(text: str, lineno: int) -> Justification:
                     raise ProofFileError(lineno, f"bad substitution item {item.strip()!r}")
                 var, val = item.split("=", 1)
                 try:
-                    subst[var.strip()] = parse(val.strip())
+                    subst[var.strip()] = parse(val.strip(), _table=table)
                 except ParseError as exc:
                     raise ProofFileError(lineno, f"bad substitution formula: {exc}") from None
         return Cite(cite_name, subst)

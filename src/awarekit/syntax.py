@@ -84,6 +84,32 @@ class Formula(Record):
     def __str__(self) -> str:
         return render(self)
 
+    def __repr__(self) -> str:
+        # Record.__repr__'s text, built on an explicit stack of nodes and
+        # of the text between them, so it takes any nesting
+        parts = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                parts.append(item)
+                continue
+            stack.append(")")
+            names = item.__match_args__
+            for k in range(len(names) - 1, -1, -1):
+                value = getattr(item, names[k])
+                stack.append(value if isinstance(value, Formula) else repr(value))
+                stack.append(f", {names[k]}=" if k else f"{names[k]}=")
+            stack.append(f"{type(item).__qualname__}(")
+        return "".join(parts)
+
+    # nodes are immutable, so a copy, shallow or deep, is the node itself
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -260,143 +286,147 @@ def _byte_offset(text: str, index: int) -> int:
 _ATOM_EXPECTED = ("identifier", "'true'", "'false'", "'('", "'~'", "'K'", "'R'", "'D'", "'A'")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(("->", "->", i))
-            i += 2
-            continue
-        if ch in "~&|()":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            toks.append(("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(
-            _byte_offset(text, i),
-            _ATOM_EXPECTED + ("'->'", "'&'", "'|'", "')'"),
-            f"{ch!r}",
-        )
-    return toks
-
+# one token per match: ->, a one-character operator, an identifier, or any
+# other character but space, which no rule accepts.  Spaces fall between
+# matches, so findall skips them without the quadratic rescan that a leading
+# \s* costs on trailing space.
+_TOKEN_RE = re.compile(r"->|[~&|()]|[A-Za-z][A-Za-z0-9_]*|\S")
+_OPERATOR_TOKENS = frozenset(["->", "~", "&", "|", "(", ")"])
+_END = ""  # appended after the last token; no match is empty
 
 # the parser recurses once per level of parentheses and loops over chains
 # of prefix operators and of ->, so only parentheses are bounded
 MAX_PAREN_DEPTH = 100
-_PREFIX = {
-    "~": Not,
-    "K": Know,
-    "R": DeRe,
-    "D": DeDicto,
-    "A": lambda f: Or(DeRe(f), DeDicto(f)),
-}
+_PREFIX = {"~": Not, "K": Know, "R": DeRe, "D": DeDicto, "A": None}
 
 
-class _Parser:
-    def __init__(self, text: str, tokens: list[tuple[str, str, int]]):
-        self._text = text
-        self._toks = tokens
-        self._i = 0
-        self._depth = 0  # parentheses open around the current token
-
-    def _peek(self) -> tuple[str, str, int]:
-        if self._i < len(self._toks):
-            return self._toks[self._i]
-        return ("end", "", len(self._text))
-
-    def _advance(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        self._i += 1
-        return tok
-
-    def _fail(self, expected: tuple[str, ...]):
-        kind, text, pos = self._peek()
-        found = "end of input" if kind == "end" else f"'{text}'"
-        raise ParseError(_byte_offset(self._text, pos), expected, found)
-
-    def formula(self) -> Formula:
-        # -> is right associative: fold the operands from the right
-        operands = [self.disj()]
-        while self._peek()[0] == "->":
-            self._advance()
-            operands.append(self.disj())
-        f = operands.pop()
-        while operands:
-            f = Implies(operands.pop(), f)
-        return f
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self._peek()[0] == "|":
-            self._advance()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        while self._peek()[0] == "&":
-            self._advance()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        ops = []
-        while self._peek()[1] in _PREFIX:
-            ops.append(_PREFIX[self._advance()[1]])
-        f = self.atom()
-        for op in reversed(ops):
-            f = op(f)
-        return f
-
-    def atom(self) -> Formula:
-        kind, text, _ = self._peek()
-        if kind == "(":
-            if self._depth == MAX_PAREN_DEPTH:
-                self._fail((f"at most {MAX_PAREN_DEPTH} nested parentheses",))
-            self._advance()
-            self._depth += 1
-            inner = self.formula()
-            if self._peek()[0] != ")":
-                self._fail(("')'", "'->'", "'&'", "'|'"))
-            self._advance()
-            self._depth -= 1
-            return inner
-        if kind == "ident":
-            self._advance()
-            if text == "true":
-                return Not(Falsum())
-            if text == "false":
-                return Falsum()
-            if is_metavar_name(text):
-                return MetaVar(text)
-            return Atom(text)
-        self._fail(_ATOM_EXPECTED)
-
-    def expect_end(self):
-        if self._peek()[0] != "end":
-            self._fail(("end of input", "'->'", "'&'", "'|'"))
+class _Stuck(Exception):
+    """The parser cannot go on at token index args[0]; args[1] is what it
+    expected there."""
 
 
-def parse(text: str) -> Formula:
+def _cons(table: dict, kind: type, *children: Formula) -> Formula:
+    """The node kind(*children) of table, made on first use.  The parser
+    inlines this for its hot operators."""
+    key = (kind, *map(id, children))
+    node = table.get(key)
+    if node is None:
+        node = table[key] = kind(*children)
+    return node
+
+
+def _leaf(table: dict, token: str) -> Formula | None:
+    """The leaf a token names, made and entered in table; None when the
+    token names no leaf."""
+    if not _IDENT_RE.match(token):
+        return None
+    if token == "true":
+        node = _cons(table, Not, table.get("false") or _leaf(table, "false"))
+    elif token == "false":
+        node = Falsum()
+    elif is_metavar_name(token):
+        node = MetaVar(token)
+    else:
+        node = Atom(token)
+    table[token] = node
+    return node
+
+
+def _formula(toks: list[str], i: int, table: dict, depth: int) -> tuple[Formula, int]:
+    """The formula that starts at toks[i] inside depth open parentheses, and
+    the index of the token after it, by precedence climbing: -> over | over
+    & over the prefix operators."""
+    operands = []  # of ->, which folds from the right
+    while True:
+        disj = None
+        while True:
+            conj = None
+            while True:
+                tok = toks[i]
+                ops = []
+                while tok in _PREFIX:
+                    ops.append(_PREFIX[tok])
+                    i += 1
+                    tok = toks[i]
+                if tok == "(":
+                    if depth == MAX_PAREN_DEPTH:
+                        raise _Stuck(i, (f"at most {MAX_PAREN_DEPTH} nested parentheses",))
+                    f, i = _formula(toks, i + 1, table, depth + 1)
+                    if toks[i] != ")":
+                        raise _Stuck(i, ("')'", "'->'", "'&'", "'|'"))
+                else:
+                    f = table.get(tok) or _leaf(table, tok)
+                    if f is None:
+                        raise _Stuck(i, _ATOM_EXPECTED)
+                i += 1
+                while ops:
+                    op = ops.pop()
+                    if op is None:  # A f is R f | D f
+                        f = _cons(table, Or, _cons(table, DeRe, f), _cons(table, DeDicto, f))
+                        continue
+                    key = (op, id(f))
+                    f = table.get(key) or table.setdefault(key, op(f))
+                if conj is not None:
+                    key = (And, id(conj), id(f))
+                    f = table.get(key) or table.setdefault(key, And(conj, f))
+                conj = f
+                if toks[i] != "&":
+                    break
+                i += 1
+            if disj is not None:
+                key = (Or, id(disj), id(conj))
+                conj = table.get(key) or table.setdefault(key, Or(disj, conj))
+            disj = conj
+            if toks[i] != "|":
+                break
+            i += 1
+        operands.append(disj)
+        if toks[i] != "->":
+            break
+        i += 1
+    f = operands.pop()
+    while operands:
+        left = operands.pop()
+        key = (Implies, id(left), id(f))
+        f = table.get(key) or table.setdefault(key, Implies(left, f))
+    return f, i
+
+
+def _parse_error(text: str, toks: list[str], i: int, expected: tuple[str, ...]) -> ParseError:
+    """The error for a parse stuck at token i, unless some token is a
+    character no rule accepts: the first of those wins, as if the whole text
+    were scanned first."""
+    for k, tok in enumerate(toks):
+        if tok and tok not in _OPERATOR_TOKENS and not _IDENT_RE.match(tok):
+            i, expected = k, _ATOM_EXPECTED + ("'->'", "'&'", "'|'", "')'")
+            found = repr(tok)
+            break
+    else:
+        found = "end of input" if toks[i] == _END else f"'{toks[i]}'"
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+    return ParseError(_byte_offset(text, starts[i]), expected, found)
+
+
+def parse(text: str, _table: dict | None = None) -> Formula:
     """Parse a formula (or schema, if it contains metavariables) from text.
 
     Raises ParseError with a 1-based byte offset on malformed input.
     Parentheses may nest at most MAX_PAREN_DEPTH (100) deep; a deeper
     opening parenthesis raises ParseError at its offset.  Chains of
     prefix operators (~, K, R, D, A) and of -> have no such limit.
+
+    Equal subtrees of one result may be one shared object.  _table, when
+    given, is the node table to build through, so that the results of the
+    calls sharing it share their equal subtrees too.
     """
-    p = _Parser(text, _tokenize(text))
-    f = p.formula()
-    p.expect_end()
+    toks = _TOKEN_RE.findall(text)
+    toks.append(_END)
+    try:
+        f, i = _formula(toks, 0, {} if _table is None else _table, 0)
+        if toks[i] != _END:
+            raise _Stuck(i, ("end of input", "'->'", "'&'", "'|'"))
+    except _Stuck as stuck:
+        raise _parse_error(text, toks, *stuck.args) from None
     return f
 
 

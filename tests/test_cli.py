@@ -188,6 +188,15 @@ class TestProve:
         code, _, err = run(capsys, "prove", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("header", ["theoremfoo", "theorems  my thm"])
+    def test_header_keyword_without_whitespace_exits_two(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.proof"
+        bad.write_text(f"{header}\n1: p -> p by taut\n")
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "prove", str(bad), *extra)
+            assert (code, out) == (2, "")
+            assert err == "error: proof file line 1: expected a 'theorem <name>' or 'from ...' header\n"
+
     def test_missing_file_exits_two(self, capsys):
         code, _, _ = run(capsys, "prove", "/no/such/file.proof")
         assert code == 2

@@ -28,9 +28,9 @@ from awarekit.proof import (
     parse_proof,
 )
 from awarekit.search import random_formula
-from awarekit.syntax import Atom, Implies, Know, parse, render
+from awarekit.syntax import Atom, Implies, Know, _program, parse, render
 
-from conftest import PROOFS
+from conftest import PROOFS, REPO
 
 P = Atom("p")
 Q = Atom("q")
@@ -538,6 +538,45 @@ class TestProofFiles:
             script = random_mp_proof(rng, registry=reg)
             name, back = parse_proof(format_proof(script))
             assert back == script
+
+    @pytest.mark.parametrize("header", ["theoremfoo", "theorems  my thm", "fromp"])
+    def test_header_keyword_needs_whitespace(self, header):
+        with pytest.raises(ProofFileError) as exc:
+            parse_proof(f"{header}\n1: p -> p by taut\n")
+        assert str(exc.value) == "proof file line 1: expected a 'theorem <name>' or 'from ...' header"
+
+    def test_header_keyword_takes_any_whitespace(self):
+        assert parse_proof("theorem\tx\n1: p -> p by taut\n")[0] == "x"
+        assert parse_proof("theorem  my thm\n1: p -> p by taut\n")[0] == "my thm"
+        assert parse_proof("from\tp; q\n1: p by hyp 1\n")[1].hypotheses == (P, Q)
+
+    def test_equal_subformulas_are_one_object(self):
+        text = "from K p; p -> q\n1: K p by hyp 1\n2: K p -> p by truth\n3: p by mp 1 2\n"
+        _, script = parse_proof(text)
+        hyp_kp, hyp_pq = script.hypotheses
+        kp, truth, p = (line.formula for line in script.lines)
+        assert kp is hyp_kp and truth.left is kp and truth.right is p is hyp_pq.left
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(PROOFS.glob("*.proof")) + sorted((REPO / "bench" / "corpus").glob("*.proof")),
+        ids=lambda path: f"{path.parent.name}/{path.name}",
+    )
+    def test_shipped_files(self, path):
+        text = path.read_text()
+        name, script = parse_proof(text)
+        # the files are what format_proof writes, byte for byte
+        assert format_proof(script, name) == text
+        assert parse_proof(format_proof(script, name))[1] == script
+        # one node per distinct subformula over the whole file
+        roots = [line.formula for line in script.lines] + list(script.hypotheses or ())
+        roots += [f for line in script.lines for f in getattr(line.justification, "substitution", {}).values()]
+        entries, entry_of, _ = _program(roots)
+        assert len(entries) == len(entry_of)
+        # a second parse shares no node with the first
+        _, again = parse_proof(text)
+        assert again == script
+        assert not set(entry_of) & set(_program([line.formula for line in again.lines])[1])
 
     def test_from_header_with_no_hypotheses(self):
         name, script = parse_proof("from\n1: p -> p by taut\n")

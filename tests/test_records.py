@@ -40,6 +40,7 @@ from awarekit import (
     ProofScript,
     ValidUpToBounds,
     Violation,
+    parse,
 )
 from awarekit.model import _Skeleton
 from awarekit.proof import TheoremEntry
@@ -142,6 +143,37 @@ def test_equal_to_a_rebuilt_copy_and_to_nothing_else(value):
     assert value != object() and value != tuple(getattr(value, n) for n in value.__match_args__)
     assert copy.deepcopy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_nested_formula_repr_is_the_dataclass_text():
+    f = parse("K p -> ~false & PHI | A q")
+    assert repr(f) == (
+        "Implies(left=Know(child=Atom(name='p')), right=Or(left=And(left=Not(child=Falsum()), "
+        "right=MetaVar(name='PHI')), right=Or(left=DeRe(child=Atom(name='q')), "
+        "right=DeDicto(child=Atom(name='q')))))"
+    )
+
+
+@pytest.mark.parametrize(
+    "link, head",
+    [
+        ("~", "Not(child="),
+        ("K ", "Know(child="),
+        ("R ", "DeRe(child="),
+        ("D ", "DeDicto(child="),
+        ("p -> ", "Implies(left=Atom(name='p'), right="),
+    ],
+    ids=["not", "K", "R", "D", "implies"],
+)
+def test_deep_formulas_print_and_copy(link, head):
+    f = parse(link * 10_000 + "q")
+    assert repr(f) == head * 10_000 + "Atom(name='q')" + ")" * 10_000
+    # nodes are immutable, so a copy is the node itself
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    line = ProofLine(f, Axiom(AxiomId.TAUT))
+    assert repr(line) == f"ProofLine(formula={f!r}, justification=Axiom(axiom=<AxiomId.TAUT: 'taut'>))"
+    twin = copy.deepcopy(line)
+    assert twin == line and twin.formula is f
 
 
 @pytest.mark.parametrize(

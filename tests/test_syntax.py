@@ -38,6 +38,8 @@ from conftest import formulas
 
 P = Atom("p")
 Q = Atom("q")
+ATOM_EXPECTED = ("identifier", "'true'", "'false'", "'('", "'~'", "'K'", "'R'", "'D'", "'A'")
+ANY_TOKEN = ATOM_EXPECTED + ("'->'", "'&'", "'|'", "')'")
 
 
 class TestParse:
@@ -141,6 +143,61 @@ class TestParse:
     def test_metavar_name_is_whole_name(self):
         with pytest.raises(ValueError):
             MetaVar("PHI\n")
+
+    # the error contract: 1-based byte offset, expected tokens, found text
+    @pytest.mark.parametrize(
+        "text, offset, expected, found",
+        [
+            ("p p $", 5, ANY_TOKEN, "'$'"),
+            ("p -", 3, ANY_TOKEN, "'-'"),
+            ("K", 2, ATOM_EXPECTED, "end of input"),
+            ("(p", 3, ("')'", "'->'", "'&'", "'|'"), "end of input"),
+            ("p)", 2, ("end of input", "'->'", "'&'", "'|'"), "')'"),
+            ("p & & q", 5, ATOM_EXPECTED, "'&'"),
+            ("\u00e4 & (p", 1, ANY_TOKEN, "'\u00e4'"),
+        ],
+    )
+    def test_error_contract(self, text, offset, expected, found):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.offset, exc.value.expected, exc.value.found) == (offset, expected, found)
+        assert str(exc.value) == (
+            f"syntax error at offset {offset}: expected {' or '.join(expected)}, found {found}"
+        )
+
+    def test_unknown_character_wins_over_an_earlier_syntax_error(self):
+        # the whole text is scanned before parsing starts
+        with pytest.raises(ParseError) as exc:
+            parse("p & & q \u00e4")
+        assert (exc.value.offset, exc.value.found) == (9, "'\u00e4'")
+
+    def test_trailing_space_costs_linear_time(self):
+        start = time.perf_counter()
+        assert parse("p" + " " * 20_000) == P
+        with pytest.raises(ParseError) as exc:
+            parse("p ->" + " " * 20_000)
+        assert exc.value.offset == 20_005 and exc.value.found == "end of input"
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(max_depth=3), st.integers(0, 3))
+    def test_round_trip_shares_equal_subtrees(self, f, levels):
+        f = awareness_tower(Implies(f, Or(f, MetaVar("PHI"))), levels)
+        g = parse(render(f))
+        assert g == f
+        # one node per distinct subtree: the program has one entry per id
+        entries, entry_of, _ = _program([g])
+        assert len(entries) == len(entry_of)
+
+    def test_a_shared_table_shares_nodes_between_results(self):
+        table = {}
+        f = parse("K (p -> q) & true", _table=table)
+        g = parse("(p -> q) | ~false", _table=table)
+        assert f.left.child is g.left
+        assert f.right is g.right  # true is ~false
+        assert parse("K (p -> q) & true", _table=table) is f
+        h = parse("K (p -> q) & true")
+        assert h == f and h is not f and h.left.child is not g.left
 
 
 class TestRender:
