@@ -11,17 +11,15 @@ integer column whose bit i * 2**total + v, a lane, says "true in skeleton
 i of the run under valuation v".  ``ModelEvaluator`` runs a concrete model
 as a run of one skeleton under its one valuation: a column of one formula
 is a single bit, and the instances of a schema run as the lanes of one
-column, lane j for substitution j; the bounded search in
+column, lane j for substitution j; and the bounded search in
 ``awarekit.search`` sweeps each presence mask's run of skeletons under
-every valuation; and ``is_tautology`` in ``awarekit.syntax`` runs on a
-one-pair frame whose leaves are the variables of the boolean abstraction.
+every valuation.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import AgentNotPresentError, EpistemicModel, Point, _Skeleton
 from .syntax import (
@@ -37,6 +35,8 @@ from .syntax import (
     Not,
     Or,
     UnboundMetavariableError,
+    _CHUNK_BITS,
+    _pattern_column,
     children,
     render,
 )
@@ -126,18 +126,7 @@ def satisfies_naive(m: EpistemicModel, pt: Point, f: Formula) -> bool:
 
 # ---------- the column engine ----------
 
-_CHUNK_BITS = 16  # at most 2**16 lanes evaluated per pass
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-@lru_cache(maxsize=None)
-def _pattern_column(bit: int, total_bits: int) -> int:
-    """Counting pattern: bit v of the result is (v >> bit) & 1, v < 2**total_bits."""
-    ones = 1 << bit
-    period = ones << 1
-    reps = 1 << (total_bits - bit - 1)
-    unit = (1 << ones) - 1
-    return (unit * (((1 << (period * reps)) - 1) // ((1 << period) - 1))) << ones
 
 
 def _widen(flags: bytearray, total_bits: int) -> int:
@@ -297,7 +286,7 @@ class _Frame:
         low = min(total_bits, _CHUNK_BITS)
         end = len(self.uses) << total_bits
         # read once: threads share a kept frame, and another width may
-        # replace its layouts meanwhile (is_tautology's one frame)
+        # replace its layouts meanwhile
         key, kept = (total_bits, _CHUNK_BITS), self._kept
         if kept is None or kept[0] != key:
             kept = self._kept = key, tuple(self._layouts(total_bits))
@@ -401,33 +390,6 @@ class _Frame:
             # ev holds itself through its closure; without this the cycle
             # keeps the pass's columns alive until the cyclic collector runs
             del ev
-
-    def first_failure(
-        self,
-        f: Formula,
-        total_bits: int,
-        leaves: Callable[[list[int]], tuple[dict[str, list[int]], dict[int, list[int]]]],
-    ) -> tuple[int, int] | None:
-        """Lowest lane at which f fails at some slot, and the lowest such
-        slot; None when f never fails.  Lane i * 2**total_bits + v is
-        skeleton i of the run under valuation v, so the lowest lane is the
-        first failure in enumeration order.
-
-        leaves(bits) turns one pass's valuation-bit columns (see _passes)
-        into the atoms and the seeded memo that columns takes.
-        """
-        for start, full, bits, layout in self._passes(total_bits):
-            atoms, memo = leaves(bits)
-            [result] = self.columns([f], atoms, full, memo, layout)
-            ok = full
-            for c in result:
-                ok &= c
-            failing = full ^ ok
-            if failing:
-                lane = (failing & -failing).bit_length() - 1
-                slot = next(i for i, c in enumerate(result) if not c >> lane & 1)
-                return start + lane, slot
-        return None
 
 
 class ModelEvaluator:

@@ -740,6 +740,8 @@ class ProofFileError(ValueError):
 
 
 _LINE_RE = re.compile(r"(\d+)\s*:\s*(.*)$")
+# the greedy head splits at the last "by" with whitespace on both sides
+_BY_RE = re.compile(r"(.*)\sby\s(.*)")
 _KEYWORD_TO_AXIOM = {ax.value: ax for ax in AxiomId}
 _KEYWORD_TO_RULE = {keyword: rule for rule, keyword in _INDEX_RULES.items()}
 
@@ -749,8 +751,9 @@ def parse_proof(text: str) -> tuple[str | None, ProofScript]:
 
     The header is either ``theorem <name>`` or ``from f1; f2; ...`` (the
     hypothesis list may be empty).  Numbered lines follow, ``<n>: <formula>
-    by <justification>``, numbered consecutively from 1; references use
-    those numbers, and ``hyp <i>`` counts hypotheses from 1.  ``#`` starts
+    by <justification>``, numbered consecutively from 1; a line splits at
+    its last ``by`` with whitespace on both sides.  References use those
+    numbers, and ``hyp <i>`` counts hypotheses from 1.  ``#`` starts
     a comment.  The header keyword is followed by whitespace or ends the
     line.  Every formula of the file is parsed through one node table, so
     equal subformulas anywhere in the file are one object.
@@ -798,10 +801,10 @@ def parse_proof(text: str) -> tuple[str | None, ProofScript]:
                 lineno, f"lines must be numbered consecutively; expected {expected_number}"
             )
         expected_number += 1
-        body = m.group(2)
-        if " by " not in body:
+        by = _BY_RE.fullmatch(m.group(2))
+        if not by:
             raise ProofFileError(lineno, "missing 'by <justification>'")
-        formula_text, just_text = body.rsplit(" by ", 1)
+        formula_text, just_text = by.groups()
         try:
             formula = parse(formula_text.strip(), _table=table)
         except ParseError as exc:
@@ -815,9 +818,8 @@ def parse_proof(text: str) -> tuple[str | None, ProofScript]:
 
 
 def _parse_just(text: str, lineno: int, table: dict) -> Justification:
+    # never blank: the line is stripped and "by" has whitespace after it
     parts = text.split(None, 1)
-    if not parts:
-        raise ProofFileError(lineno, "empty justification")
     head, rest = parts[0], (parts[1] if len(parts) > 1 else "")
     if head in _KEYWORD_TO_AXIOM:
         if rest:

@@ -180,17 +180,26 @@ def _sweep(
 ) -> tuple[int, tuple[_Frame, int, int] | None]:
     """Sweep the frames in order for a lane where f fails.  Returns the
     number of lanes before the first failing one and its (frame, lane,
-    slot), or the number of all lanes and None."""
+    slot), where the slot is the lowest at which f fails in that lane, or
+    the number of all lanes and None.  Lane i * 2**total + v of a frame is
+    skeleton i of its run under valuation v, so the lowest lane is the
+    first failure in enumeration order."""
     checked = 0
     for frame in frames:
         m = frame.m
         total = len(props) * m
         lows = _lows(props, m)
-        hit = frame.first_failure(
-            f, total, lambda bits: ({p: bits[lo : lo + m] for p, lo in lows}, {})
-        )
-        if hit is not None:
-            return checked + hit[0], (frame, *hit)
+        for start, full, bits, layout in frame._passes(total):
+            atoms = {p: bits[lo : lo + m] for p, lo in lows}
+            [result] = frame.columns([f], atoms, full, {}, layout)
+            ok = full
+            for c in result:
+                ok &= c
+            failing = full ^ ok
+            if failing:
+                lane = (failing & -failing).bit_length() - 1
+                slot = next(i for i, c in enumerate(result) if not c >> lane & 1)
+                return checked + start + lane, (frame, start + lane, slot)
         checked += len(frame.uses) << total
     return checked, None
 

@@ -613,6 +613,17 @@ def modal_depth(f: Formula) -> int:
 
 MAX_TAUTOLOGY_VARIABLES = 20
 _UNITS = (Know, DeRe, DeDicto, Atom, MetaVar)
+_CHUNK_BITS = 16  # at most 2**16 valuations, or lanes, evaluated per pass
+
+
+@lru_cache(maxsize=None)
+def _pattern_column(bit: int, total_bits: int) -> int:
+    """Counting pattern: bit v of the result is (v >> bit) & 1, v < 2**total_bits."""
+    ones = 1 << bit
+    period = ones << 1
+    reps = 1 << (total_bits - bit - 1)
+    unit = (1 << ones) - 1
+    return (unit * (((1 << (period * reps)) - 1) // ((1 << period) - 1))) << ones
 
 
 def is_tautology(f: Formula) -> bool:
@@ -621,11 +632,12 @@ def is_tautology(f: Formula) -> bool:
     Each maximal subformula headed by K, R, or D, and each atom (or
     metavariable), counts as one independent boolean variable; equal
     subformulas share one.  false is the constant falsehood.  At most 20
-    abstraction variables are allowed.  The check runs on the column engine
-    over a one-pair frame, each variable's column seeded as a leaf, so the
-    engine never descends into a variable.
+    abstraction variables are allowed.  The check folds the program of f
+    bottom-up over integers whose bit v is the entry's value under
+    valuation v, in passes of at most 2**_CHUNK_BITS valuations; a pass
+    fixes the variables above its width.
     """
-    entries, entry_of, _ = _program([f])
+    entries = _program([f])[0]
     # from the root down, every entry before its children: the units
     # reached without passing through a unit are the variables
     reached = {len(entries) - 1}
@@ -638,26 +650,31 @@ def is_tautology(f: Formula) -> bool:
             units[i] = len(units)
         elif kind in _OPERATORS:
             reached.update(args)
-    if len(units) > MAX_TAUTOLOGY_VARIABLES:
+    n = len(units)
+    if n > MAX_TAUTOLOGY_VARIABLES:
         raise ValueError(
-            f"boolean abstraction has {len(units)} variables; "
+            f"boolean abstraction has {n} variables; "
             f"at most {MAX_TAUTOLOGY_VARIABLES} are supported"
         )
-    # every node of a variable's entry is seeded, so the engine stops at
-    # each occurrence, whichever node object it is
-    unit_of = {k: units[e] for k, e in entry_of.items() if e in units}
-
-    def leaves(bits: list[int]):
-        return {}, {k: [bits[j]] for k, j in unit_of.items()}
-
-    return _one_pair().first_failure(f, len(units), leaves) is None
-
-
-@lru_cache(maxsize=None)
-def _one_pair():
-    """The column engine over one world and one agent, for is_tautology."""
-    # imported here because the checker imports this module
-    from .checker import _Frame
-    from .model import _Skeleton
-
-    return _Frame([_Skeleton(1, 1, 1, (((0,),),))])
+    low = min(n, _CHUNK_BITS)
+    full = (1 << (1 << low)) - 1
+    # the reached entries that are neither variables nor false
+    connectives = sorted(i for i in reached if i not in units and entries[i][0] is not Falsum)
+    for high in range(1 << (n - low)):
+        value = [0] * len(entries)  # false stays 0
+        for i, j in units.items():
+            value[i] = _pattern_column(j, low) if j < low else full * (high >> (j - low) & 1)
+        for i in connectives:
+            entry = entries[i]
+            kind = entry[0]
+            if kind is Not:
+                value[i] = full ^ value[entry[1]]
+            elif kind is Implies:
+                value[i] = (full ^ value[entry[1]]) | value[entry[2]]
+            elif kind is And:
+                value[i] = value[entry[1]] & value[entry[2]]
+            else:  # Or
+                value[i] = value[entry[1]] | value[entry[2]]
+        if value[-1] != full:
+            return False
+    return True

@@ -272,3 +272,31 @@ class TestExplain:
         model, W, A = museum
         args = (model, Point(0, 0), parse("D(weride & near) & ~R(weride & near)"), list(W), list(A))
         assert explain(*args) == explain(*args)
+
+    def test_know_success_lists_the_block(self, museum):
+        model, W, A = museum
+        text = explain(model, Point(W["w1"], A["a"]), parse("K ~police"), list(W), list(A))
+        assert text == (
+            "K ~police at (w1, a): true\n"
+            "  holds about a at every indistinguishable world: w1, w2"
+        )
+
+    def test_dedicto_failure_names_the_empty_world(self, museum):
+        model, W, A = museum
+        text = explain(model, Point(W["w1"], A["a"]), parse("D police"), list(W), list(A))
+        assert text == "D police at (w1, a): false\n  no agent at world w2 satisfies police"
+
+
+class TestSchemaEvaluation:
+    # a schema is no formula: both evaluators refuse it and name the
+    # unbound metavariable
+    @pytest.mark.parametrize("text", ["PHI", "K PHI -> p"])
+    def test_satisfies_names_the_metavariable(self, museum, text):
+        model, W, A = museum
+        with pytest.raises(ValueError, match="^cannot evaluate a schema; metavariable PHI is unbound$"):
+            satisfies(model, Point(W["w1"], A["a"]), parse(text))
+
+    @pytest.mark.parametrize("text", ["PHI", "K PHI -> p"])
+    def test_holds_everywhere_names_the_metavariable(self, museum, text):
+        with pytest.raises(ValueError, match="^cannot evaluate a schema; metavariable PHI is unbound$"):
+            ModelEvaluator(museum[0]).holds_everywhere(parse(text))

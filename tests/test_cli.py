@@ -416,7 +416,171 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("valid", "{deep}", "--max-worlds", "1", "--max-agents", "1"),
+            ("check", MUSEUM_PATH, "w1", "a", "{deep}"),
+        ],
+        ids=["valid", "check"],
+    )
+    def test_nesting_past_the_recursion_limit_exits_two(self, capsys, argv):
+        deep = "~" * 3000 + "p"
+        code, out, err = run(capsys, *(arg.format(deep=deep) for arg in argv))
+        assert (code, out, err) == (2, "", "error: formula is nested too deeply\n")
+
+    def test_prove_takes_any_nesting(self, tmp_path, capsys):
+        text = "~" * 10_000 + "p | " + "~" * 10_001 + "p"
+        proof = tmp_path / "deep.proof"
+        proof.write_text(f"theorem deep\n1: {text} by taut\n")
+        code, out, err = run(capsys, "prove", str(proof))
+        assert (code, err) == (0, "")
+        assert out == f"{text}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", MUSEUM_PATH, "w1", "z", "p"], "unknown agent name 'z'"),
+            (["expand", "p", "-1"], "levels must be nonnegative"),
+        ],
+        ids=["unknown-agent", "negative-levels"],
+    )
+    def test_bad_argument_exits_two(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_parentheses_nested_too_deeply_exit_two(self, capsys):
         code, out, err = run(capsys, "valid", "(" * 300 + "p" + ")" * 300)
         assert code == 2 and out == ""
         assert err.startswith("error: syntax error at offset 101: expected at most 100 nested parentheses")
+
+
+def _model_text(**changes):
+    """A one-world, one-agent model file with some keys replaced, or
+    dropped where the value is None."""
+    doc = {
+        "worlds": ["w"],
+        "agents": ["a"],
+        "presence": [["a", "w"]],
+        "indist": {"a": [["w"]]},
+        "valuation": {"p": [["a", "w"]]},
+    }
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (_model_text(worlds="w"), "'worlds' must be a list of names"),
+            (_model_text(agents=["a", 1]), "'agents' must be a list of names"),
+            (_model_text(worlds=["w", "w"]), "duplicate worlds names"),
+            (_model_text(presence=[["a"]]), "presence/valuation entries must be [agent, world] pairs, got ['a']"),
+            (_model_text(presence=[["z", "w"]]), "unknown agent name 'z'"),
+            (_model_text(valuation={"p": [["a", "v"]]}), "unknown world name 'v'"),
+            ("[]", "top level must be an object"),
+            (_model_text(valuation=None), "missing key 'valuation'"),
+            (_model_text(presence={}), "'presence' must be a list of [agent, world] pairs"),
+            (_model_text(indist=[]), "'indist' must map agent names to block lists"),
+            (_model_text(indist={"z": []}), "unknown agent name 'z' in 'indist'"),
+            (_model_text(indist={"a": "w"}), "'indist' entry for 'a' must be a list of blocks"),
+            (_model_text(indist={"a": ["w"]}), "indistinguishability blocks must be lists, got 'w'"),
+            (_model_text(valuation=[]), "'valuation' must map propositions to pair lists"),
+            (_model_text(valuation={"p": "x"}), "valuation for 'p' must be a list of pairs"),
+        ],
+        ids=[
+            "names-not-a-list",
+            "name-not-a-string",
+            "duplicate-names",
+            "not-a-pair",
+            "pair-unknown-agent",
+            "pair-unknown-world",
+            "top-level",
+            "missing-key",
+            "presence-not-a-list",
+            "indist-not-a-dict",
+            "indist-unknown-agent",
+            "block-list-not-a-list",
+            "block-not-a-list",
+            "valuation-not-a-dict",
+            "valuation-pairs-not-a-list",
+        ],
+    )
+    def test_model_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.model.json"
+        path.write_text(text)
+        assert run(capsys, "lint", str(path)) == (2, "", f"error: {message}\n")
+
+    SYNTAX = (
+        "syntax error at offset 4: expected identifier or 'true' or 'false' "
+        "or '(' or '~' or 'K' or 'R' or 'D' or 'A', found end of input"
+    )
+
+    @pytest.mark.parametrize(
+        "text, lineno, reason",
+        [
+            ("theorem\n1: p -> p by taut\n", 1, "theorem header needs a name"),
+            ("from p &\n1: p by hyp 1\n", 1, f"bad hypothesis: {SYNTAX}"),
+            ("theorem t\nfoo\n", 2, "expected '<n>: <formula> by <justification>'"),
+            ("# nothing\n", 1, "empty proof file"),
+            ("theorem t\n", 1, "proof file has a header but no lines"),
+            ("theorem t\n1: p -> p by taut x\n", 2, "taut takes no arguments"),
+            ("theorem t\n1: p by cite\n", 2, "expected 'cite <name> [<var>=<formula>, ...]'"),
+            (
+                "theorem t\n1: K p -> K K p by cite positive_introspection [PHI]\n",
+                2,
+                "bad substitution item 'PHI'",
+            ),
+            (
+                "theorem t\n1: K p -> K K p by cite positive_introspection [PHI=p &]\n",
+                2,
+                f"bad substitution formula: {SYNTAX}",
+            ),
+        ],
+        ids=[
+            "nameless-theorem",
+            "bad-hypothesis",
+            "not-a-numbered-line",
+            "empty-file",
+            "no-lines",
+            "axiom-with-arguments",
+            "malformed-cite",
+            "bad-substitution-item",
+            "bad-substitution-formula",
+        ],
+    )
+    def test_proof_file(self, tmp_path, capsys, text, lineno, reason):
+        path = tmp_path / "bad.proof"
+        path.write_text(text)
+        for extra in ((), ("--json",)):
+            got = run(capsys, "prove", str(path), *extra)
+            assert got == (2, "", f"error: proof file line {lineno}: {reason}\n")
+
+    @pytest.mark.parametrize(
+        "text, line, rule, reason",
+        [
+            ("from p\n1: p by hyp 2\n", 1, "hyp", "no hypothesis 2"),
+            ("from p\n1: q by hyp 1\n", 1, "hyp", "line states q but hypothesis 1 is p"),
+            ("theorem t\n1: p -> p by taut\n2: K p by nec 1\n", 2, "nec", "expected K applied to line 1"),
+            ("theorem t\n1: ~false by taut\n2: D ~false by monoD 1\n", 2, "monoD", "line 1 is not an implication"),
+            ("theorem t\n1: p -> p by taut\n2: R p -> D p by monoR 1\n", 2, "monoR", "expected R p -> R p"),
+            (
+                "theorem t\n1: K p -> K K p by cite positive_introspection\n",
+                1,
+                "cite",
+                "metavariable PHI is not bound by the substitution",
+            ),
+        ],
+        ids=["no-hypothesis", "wrong-hypothesis", "wrong-nec", "mono-of-non-implication", "wrong-mono", "unbound-cite"],
+    )
+    def test_proof_check(self, tmp_path, capsys, text, line, rule, reason):
+        path = tmp_path / "bad.proof"
+        path.write_text(text)
+        assert run(capsys, "prove", str(path)) == (1, f"line {line}: {rule}: {reason}\n", "")
+        code, out, err = run(capsys, "prove", str(path), "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"ok": False, "line": line, "rule": rule, "reason": reason}

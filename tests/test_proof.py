@@ -592,6 +592,21 @@ class TestProofFiles:
         with pytest.raises(ProofFileError):
             parse_proof("theorem t\n2: p -> p by taut\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["1: p -> p\tby taut", "1: p -> p by\ttaut", "1: p -> p \t by \t taut"],
+        ids=["tab-before", "tab-after", "mixed"],
+    )
+    def test_any_whitespace_surrounds_by(self, line):
+        _, script = parse_proof(f"theorem t\n{line}\n")
+        assert script == parse_proof("theorem t\n1: p -> p by taut\n")[1]
+        assert format_proof(script, "t") == "theorem t\n\n1: p -> p by taut\n"
+
+    def test_a_line_splits_at_its_last_by(self):
+        _, script = parse_proof("theorem t\n1: by -> by by taut\n")
+        assert render(check(script)) == "by -> by"
+        assert format_proof(script, "t") == "theorem t\n\n1: by -> by by taut\n"
+
     def test_missing_by_rejected(self):
         with pytest.raises(ProofFileError):
             parse_proof("theorem t\n1: p -> p\n")

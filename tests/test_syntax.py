@@ -437,9 +437,9 @@ class TestTautology:
             is_tautology(big)
 
     def test_exactly_twenty_variables(self):
-        # more variables than one pass of the column engine holds, so the
-        # check runs in several passes
-        from awarekit.checker import _CHUNK_BITS
+        # more variables than one pass of 2**_CHUNK_BITS valuations holds,
+        # so the check runs in several passes
+        from awarekit.syntax import _CHUNK_BITS
 
         conj = " & ".join(["K p", "R p", "D p"] + [f"x{i}" for i in range(17)])
         assert 20 > _CHUNK_BITS
@@ -447,7 +447,7 @@ class TestTautology:
         # false only when every variable is true: the last valuation of all
         assert not is_tautology(parse(f"~({conj})"))
 
-    @pytest.mark.parametrize("depth", [600, 900])
+    @pytest.mark.parametrize("depth", [600, 900, 10_000])
     def test_deeply_nested_negation(self, depth):
         assert not is_tautology(parse("~" * depth + "p"))
         assert is_tautology(parse("~" * depth + "p | ~p"))
@@ -460,8 +460,8 @@ class TestTautology:
         assert not is_tautology(parse(f"{chain} -> K {chain}"))
 
     def test_concurrent_checks_of_several_widths_agree(self):
-        # every check runs on one shared frame, which keeps the pass
-        # layouts of the last width it saw
+        # checks of one and of several passes run side by side and share
+        # only the cached pattern columns of each width
         import sys
         import threading
 
