@@ -307,37 +307,16 @@ class FuzzReport(Record):
         return not self.violations
 
 
-# node kinds by name with their class and arity; the order fixes the draws
-_KINDS = {
-    "atom": (Atom, 0),
-    "false": (Falsum, 0),
-    "not": (Not, 1),
-    "implies": (Implies, 2),
-    "and": (And, 2),
-    "or": (Or, 2),
-    "K": (Know, 1),
-    "R": (DeRe, 1),
-    "D": (DeDicto, 1),
-}
-_NODE_KINDS = tuple(_KINDS)
-_LEAF_KINDS = ("atom", "false")
-
-
 def random_formula(rng: random.Random, props: Sequence[str], max_depth: int) -> Formula:
-    """Random formula over props, uniform over node kinds, depth-bounded."""
-    kind = rng.choice(_LEAF_KINDS if max_depth <= 0 else _NODE_KINDS)
-    if kind == "atom":
-        return Atom(rng.choice(list(props)))
-    node, arity = _KINDS[kind]
-    if arity == 2:
-        left = random_formula(rng, props, max_depth - 1)
-        return node(left, random_formula(rng, props, max_depth - 1))
-    return node(random_formula(rng, props, max_depth - 1)) if arity else node()
+    """Random formula over props, uniform over node kinds, depth-bounded.
+    Equal subtrees of one result may be one object.  Empty props raise
+    ValueError before any rng call."""
+    return _drawer(rng, props)(max_depth, {})
 
 
 def _drawer(rng: random.Random, props: Sequence[str]) -> Callable[[int, dict], Formula]:
-    """draw(max_depth, interned): the formula random_formula(rng, props,
-    max_depth) returns, from the same rng calls, with equal subtrees shared.
+    """draw(max_depth, interned): a random formula over props of depth at
+    most max_depth, uniform over node kinds, with equal subtrees shared.
 
     Each choice is Random.choice done inline, as CPython does it:
     getrandbits(k) with k = n.bit_length(), drawn again while it is n or
@@ -346,13 +325,17 @@ def _drawer(rng: random.Random, props: Sequence[str]) -> Callable[[int, dict], F
     subtrees drawn into one dict are one object.  The dict keeps each node
     it holds alive, so those ids stay unique while it lives.
     """
+    if not props:
+        raise ValueError("random formulas need at least one proposition")
     getrandbits = rng.getrandbits
     leaves = [Atom(p) for p in props]
     falsum = Falsum()
-    # kind i of _LEAF_KINDS is kind i of _NODE_KINDS
-    kinds = [_KINDS[kind] for kind in _NODE_KINDS]
+    # each kind's class and arity, the two leaves first; the order fixes the draws
+    kinds = (
+        (Atom, 0), (Falsum, 0), (Not, 1), (Implies, 2), (And, 2), (Or, 2), (Know, 1), (DeRe, 1), (DeDicto, 1)
+    )
     n_kinds, k_kinds = len(kinds), len(kinds).bit_length()
-    n_leaves, k_leaves = len(_LEAF_KINDS), len(_LEAF_KINDS).bit_length()
+    n_leaves, k_leaves = 2, (2).bit_length()
     n_props, k_props = len(leaves), len(leaves).bit_length()
 
     def draw(depth: int, interned: dict) -> Formula:
@@ -413,9 +396,8 @@ def fuzz_soundness(
     one pass (see ModelEvaluator.first_failures), never built one by one.
     A trial's pool is hash-consed: its equal subtrees are one object, and
     each distinct subtree is evaluated once on the trial's model, for all
-    schemas.  The draws are random_formula's, from the same rng calls, so
-    the violations, their order and the report are those of checking each
-    instance in turn.
+    schemas.  The violations, their order and the report are those of
+    checking each instance in turn.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -110,6 +110,14 @@ class Formula(Record):
     def __deepcopy__(self, memo):
         return self
 
+    def __reduce__(self):
+        # an operator node pickles flat, as its program and its leaves, so
+        # any nesting pickles; a leaf pickles through its constructor
+        if self.__class__ not in _OPERATORS:
+            return super().__reduce__()
+        entries, _, nodes = _program([self])
+        return _rebuild, (entries, [None if e[0] in _OPERATORS else n for e, n in zip(entries, nodes)])
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -529,19 +537,28 @@ def match_schema(schema: Formula, f: Formula) -> dict[str, Formula] | None:
 
 
 def instantiate(schema: Formula, subst: dict[str, Formula]) -> Formula:
-    """Simultaneous substitution of subst into schema's metavariables."""
-    if isinstance(schema, MetaVar):
-        try:
-            return subst[schema.name]
-        except KeyError:
-            raise UnboundMetavariableError(schema.name) from None
-    if isinstance(schema, _UNARY):
-        return type(schema)(instantiate(schema.child, subst))
-    if isinstance(schema, _BINARY):
-        return type(schema)(
-            instantiate(schema.left, subst), instantiate(schema.right, subst)
-        )
-    return schema
+    """Simultaneous substitution of subst into schema's metavariables, by a
+    fold over the program of schema, so it takes any nesting.  The leftmost
+    metavariable that subst does not bind raises UnboundMetavariableError."""
+    entries, _, nodes = _program([schema])
+    # in post-order, so the leftmost metavariable comes first
+    for i, (kind, *args) in enumerate(entries):
+        if kind is MetaVar:
+            try:
+                nodes[i] = subst[args[0]]
+            except KeyError:
+                raise UnboundMetavariableError(args[0]) from None
+    return _rebuild(entries, nodes)
+
+
+def _rebuild(entries: list[tuple], leaves: list) -> Formula:
+    """The last entry's node of a program, built bottom-up: each operator
+    entry from its children's nodes, each other entry as its node in leaves."""
+    built: list[Formula] = []
+    for entry, leaf in zip(entries, leaves):
+        kind = entry[0]
+        built.append(kind(*[built[c] for c in entry[1:]]) if kind in _OPERATORS else leaf)
+    return built[-1]
 
 
 def _program(roots: list[Formula]) -> tuple[list[tuple], dict[int, int], list[Formula]]:

@@ -174,6 +174,11 @@ def test_deep_formulas_print_and_copy(link, head):
     assert repr(line) == f"ProofLine(formula={f!r}, justification=Axiom(axiom=<AxiomId.TAUT: 'taut'>))"
     twin = copy.deepcopy(line)
     assert twin == line and twin.formula is f
+    # a formula pickles as its flat program, so any nesting pickles, alone
+    # or inside a record
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) == f
+        assert pickle.loads(pickle.dumps(line, protocol)) == line
 
 
 @pytest.mark.parametrize(

@@ -20,11 +20,17 @@ from awarekit.search import (
 )
 from awarekit.search import _drawer
 from awarekit.syntax import (
+    And,
     Atom,
+    DeDicto,
+    DeRe,
+    Falsum,
     Implies,
     Know,
     MetaVar,
     Not,
+    Or,
+    _program,
     children,
     instantiate,
     metavariables,
@@ -677,22 +683,64 @@ class TestFuzzLanes:
         assert report.violations
 
 
+# node kinds by name with their class and arity; the order fixes the draws
+_KINDS = {
+    "atom": (Atom, 0),
+    "false": (Falsum, 0),
+    "not": (Not, 1),
+    "implies": (Implies, 2),
+    "and": (And, 2),
+    "or": (Or, 2),
+    "K": (Know, 1),
+    "R": (DeRe, 1),
+    "D": (DeDicto, 1),
+}
+_NODE_KINDS = tuple(_KINDS)
+_LEAF_KINDS = ("atom", "false")
+
+
+def reference_formula(rng, props, max_depth):
+    """The draw of random_formula as a plain recursion over Random.choice,
+    with no sharing: the reference the inline drawer is checked against."""
+    kind = rng.choice(_LEAF_KINDS if max_depth <= 0 else _NODE_KINDS)
+    if kind == "atom":
+        return Atom(rng.choice(list(props)))
+    node, arity = _KINDS[kind]
+    if arity == 2:
+        left = reference_formula(rng, props, max_depth - 1)
+        return node(left, reference_formula(rng, props, max_depth - 1))
+    return node(reference_formula(rng, props, max_depth - 1)) if arity else node()
+
+
 class TestPoolDraw:
-    """fuzz_soundness draws its pools with search._drawer, which does
-    Random.choice inline; it must draw what random_formula draws and leave
-    the rng where random_formula leaves it."""
+    """fuzz_soundness and random_formula draw with search._drawer, which
+    does Random.choice inline; it must draw what the Random.choice recursion
+    draws and leave the rng where that recursion leaves it."""
 
     @pytest.mark.parametrize("props", [("p",), ("p", "q"), ("p", "q", "r"), ("a", "b", "c", "d", "e")])
     def test_equals_random_formula(self, props):
         for seed in range(200):
             for depth in range(6):
-                ref, rng = random.Random(seed), random.Random(seed)
+                ref, rng, public = random.Random(seed), random.Random(seed), random.Random(seed)
                 draw, interned = _drawer(rng, props), {}
                 for _ in range(3):
-                    want = random_formula(ref, props, depth)
+                    want = reference_formula(ref, props, depth)
                     got = draw(depth, interned)
                     assert got == want and render(got) == render(want)
-                assert rng.getstate() == ref.getstate()
+                    f = random_formula(public, props, depth)
+                    assert f == want
+                    # one node per distinct subtree: the program has one entry per id
+                    entries, entry_of, _ = _program([f])
+                    assert len(entries) == len(entry_of)
+                assert rng.getstate() == ref.getstate() == public.getstate()
+
+    def test_no_props_raise_before_any_draw(self):
+        rng = random.Random(6)
+        state = rng.getstate()
+        for depth in range(4):
+            with pytest.raises(ValueError, match="at least one proposition"):
+                random_formula(rng, (), depth)
+        assert rng.getstate() == state
 
     def test_equal_subtrees_are_one_object(self):
         draw, interned = _drawer(random.Random(4), ("p", "q")), {}

@@ -354,6 +354,20 @@ class TestSchemas:
         with pytest.raises(UnboundMetavariableError) as exc:
             instantiate(parse("D PHI -> K D PHI"), {"PSI": P})
         assert exc.value.name == "PHI"
+        # the leftmost unbound metavariable is the one named
+        with pytest.raises(UnboundMetavariableError) as exc:
+            instantiate(parse("PSI -> PHI"), {})
+        assert exc.value.name == "PSI"
+
+    def test_instantiate_refuses_a_non_formula_node(self):
+        with pytest.raises(TypeError, match="not a formula node"):
+            instantiate(Implies(MetaVar("PHI"), "p"), {"PHI": P})
+
+    @pytest.mark.parametrize("link", ["~", "K ", "R ", "D ", "PHI -> "])
+    def test_instantiate_deep_chains(self, link):
+        text = link * 10000 + "PHI"
+        got = instantiate(parse(text), {"PHI": parse("p & K q")})
+        assert got == parse(text.replace("PHI", "(p & K q)"))
 
     @settings(max_examples=200, deadline=None)
     @given(formulas())
