@@ -489,10 +489,11 @@ def lift_knowledge(script: ProofScript, registry: Registry) -> ProofScript:
 
     With no hypotheses the result is a theorem-mode script ending in a
     necessitation step.  Otherwise the hypotheses are discharged one by one,
-    the resulting implication chain is necessitated and distributed over K
-    in theorem mode, that theorem is registered under a content-derived
-    name, and the returned hypothesis-mode script cites it and restores the
-    hypotheses by modus ponens.  Outputs are re-checked before return.
+    and the discharged proof plus one necessitation step, proving
+    K (phi_1 -> ... -> psi), is registered under a content-derived name.
+    The returned hypothesis-mode script cites it and peels one antecedent
+    per hypothesis with a distribution axiom and modus ponens.  Outputs are
+    re-checked before return.
     """
     if script.is_theorem_mode:
         raise ValueError("lift_knowledge applies to hypothesis-mode scripts")
@@ -509,34 +510,10 @@ def lift_knowledge(script: ProofScript, registry: Registry) -> ProofScript:
     cur = script
     for i in range(len(hyps) - 1, -1, -1):
         cur = deduction(cur, i, registry)
-    nested = cur.conclusion  # phi_1 -> (phi_2 -> ... -> psi)
-
     tb = _Builder(None, cur.lines)
-    k_nested = tb.nec(len(cur.lines) - 1)
-
-    # peel the implication chain, pushing K through one antecedent at a time
-    def dist_instance(imp: Implies) -> Formula:
-        return Implies(
-            Know(imp), Implies(Know(imp.left), Know(imp.right))
-        )
-
-    d = tb.axiom(AxiomId.DIST, dist_instance(nested))
-    acc = tb.mp(k_nested, d)  # K phi_1 -> K rest
-    rest = nested.right
-    prefix: list[Formula] = [Know(nested.left)]
-    while isinstance(rest, Implies) and len(prefix) < len(hyps):
-        d = tb.axiom(AxiomId.DIST, dist_instance(rest))
-        # (K rest -> (K phi_j -> K tail)) lets the accumulated nested
-        # implication swap its innermost consequent, propositionally
-        old = tb.formula(acc)
-        new = _replace_consequent(old, len(prefix), tb.formula(d).right)
-        t = tb.taut(Implies(tb.formula(d), Implies(old, new)))
-        step = tb.mp(d, t)
-        acc = tb.mp(acc, step)
-        prefix.append(Know(rest.left))
-        rest = rest.right
+    tb.nec(len(cur.lines) - 1)
     theorem = tb.script()
-    conclusion = theorem.conclusion
+    conclusion = theorem.conclusion  # K (phi_1 -> (phi_2 -> ... -> psi))
     name = _lift_name(conclusion)
     if name not in registry:
         registry.register(name, conclusion, theorem)
@@ -544,21 +521,15 @@ def lift_knowledge(script: ProofScript, registry: Registry) -> ProofScript:
     ob = _Builder(tuple(Know(h) for h in hyps))
     acc = ob.add(conclusion, Cite(name))
     for i in range(len(hyps)):
-        h = ob.hyp(i)
-        acc = ob.mp(h, acc)
+        imp = ob.formula(acc).child  # phi_i -> rest
+        d = ob.axiom(AxiomId.DIST, Implies(Know(imp), Implies(Know(imp.left), Know(imp.right))))
+        step = ob.mp(acc, d)  # K phi_i -> K rest
+        acc = ob.mp(ob.hyp(i), step)
     out = ob.script()
     check(out, registry)
     if out.conclusion != Know(script.conclusion):
         raise AssertionError("lift_knowledge produced an unexpected conclusion")
     return out
-
-
-def _replace_consequent(nested: Formula, depth: int, new_tail: Formula) -> Formula:
-    """Rebuild a right-nested implication with its depth-th consequent replaced."""
-    if depth == 0:
-        return new_tail
-    assert isinstance(nested, Implies)
-    return Implies(nested.left, _replace_consequent(nested.right, depth - 1, new_tail))
 
 
 # ---------- builtin derivations ----------

@@ -655,18 +655,25 @@ def is_tautology(f: Formula) -> bool:
     fixes the variables above its width.
     """
     entries = _program([f])[0]
+    root = len(entries) - 1
+    spare = len(entries)  # a slot that a step clears when no operand dies there
     # from the root down, every entry before its children: the units
-    # reached without passing through a unit are the variables
-    reached = {len(entries) - 1}
+    # reached without passing through a unit are the variables, and an
+    # operand first reached from an entry is used last by that entry
+    reached = {root}
     units: dict[int, int] = {}  # entry -> variable
-    for i in range(len(entries) - 1, -1, -1):
+    plan = []  # each reached connective: (entry, kind, operands, slots to clear)
+    for i in range(root, -1, -1):
         if i not in reached:
             continue
         kind, *args = entries[i]
         if kind in _UNITS:
             units[i] = len(units)
         elif kind in _OPERATORS:
+            a, b = args[0], args[-1]
+            plan.append((i, kind, a, b, spare if a in reached else a, spare if b in reached else b))
             reached.update(args)
+    plan.reverse()
     n = len(units)
     if n > MAX_TAUTOLOGY_VARIABLES:
         raise ValueError(
@@ -675,23 +682,23 @@ def is_tautology(f: Formula) -> bool:
         )
     low = min(n, _CHUNK_BITS)
     full = (1 << (1 << low)) - 1
-    # the reached entries that are neither variables nor false
-    connectives = sorted(i for i in reached if i not in units and entries[i][0] is not Falsum)
     for high in range(1 << (n - low)):
-        value = [0] * len(entries)  # false stays 0
+        value = [0] * (spare + 1)  # false stays 0
         for i, j in units.items():
             value[i] = _pattern_column(j, low) if j < low else full * (high >> (j - low) & 1)
-        for i in connectives:
-            entry = entries[i]
-            kind = entry[0]
+        for i, kind, a, b, clear_a, clear_b in plan:
             if kind is Not:
-                value[i] = full ^ value[entry[1]]
+                v = full ^ value[a]
             elif kind is Implies:
-                value[i] = (full ^ value[entry[1]]) | value[entry[2]]
+                v = (full ^ value[a]) | value[b]
             elif kind is And:
-                value[i] = value[entry[1]] & value[entry[2]]
+                v = value[a] & value[b]
             else:  # Or
-                value[i] = value[entry[1]] | value[entry[2]]
-        if value[-1] != full:
+                v = value[a] | value[b]
+            # each operand's integer goes at its last use, so a chain holds
+            # the integers of one level at a time
+            value[clear_a] = value[clear_b] = 0
+            value[i] = v
+        if value[root] != full:
             return False
     return True

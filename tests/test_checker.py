@@ -1,4 +1,5 @@
 import random
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from awarekit.checker import (
     satisfies_naive,
     valid_in_model,
 )
-from awarekit.model import AgentNotPresentError, EpistemicModel, Point
+from awarekit.model import AgentNotPresentError, Bounds, EpistemicModel, Point, random_model
 from awarekit.proof import AXIOM_SCHEMAS, NON_TAUT_AXIOMS
 from awarekit.search import random_formula
 from awarekit.syntax import (
@@ -23,6 +24,7 @@ from awarekit.syntax import (
     instantiate,
     metavariables,
     parse,
+    render,
 )
 
 from conftest import formulas, small_models
@@ -136,6 +138,59 @@ class TestMemoizationTransparency:
     def test_memoized_equals_naive(self, m, f):
         for pt in m.points():
             assert satisfies(m, pt, f) == satisfies_naive(m, pt, f)
+
+
+def larger_models(n, props=("p", "q")):
+    """The first n random models, by seed, with 4-5 worlds and 4-5 agents:
+    past the 3 worlds and 3 agents of small_models."""
+    bounds = Bounds(5, 5, props)
+    models = (random_model(seed, bounds) for seed in count())
+    return list(islice((m for m in models if min(m.world_count, m.agent_count) >= 4), n))
+
+
+def planted_model(w, a):
+    """5 worlds and 5 agents, each present everywhere; p holds only at
+    (w, a), and every agent's partition is {w} and the four other worlds."""
+    others = tuple(u for u in range(5) if u != w)
+    presence = {(b, u) for b in range(5) for u in range(5)}
+    return EpistemicModel(5, 5, presence, (((w,), others),) * 5, {"p": {(a, w)}})
+
+
+class TestLargerModels:
+    # the engine and the reference checker against each other, and against
+    # hand-derived extensions, at world and agent indices 3 and 4
+
+    @pytest.mark.parametrize("w,a", [(3, 3), (3, 4), (4, 3), (4, 4)])
+    def test_planted_witness_and_counterexample(self, w, a):
+        m = planted_model(w, a)
+        every = set(m.points())
+        planted = {Point(w, a)}
+        at_w = {Point(w, b) for b in range(5)}
+        want = {
+            "p": planted,  # the only witness of an atom
+            "~p": every - planted,  # and its only counterexample
+            "K p": planted,
+            "K ~p": every - planted,
+            "R p": at_w,  # agent a is the only witness, at world w
+            "D p": at_w,  # likewise; no other block holds p in every world
+            "D ~p": every,
+        }
+        ev = ModelEvaluator(m)
+        for text, ext in want.items():
+            f = parse(text)
+            assert ev.extension(f) == ext, text
+            assert {pt for pt in every if satisfies(m, pt, f)} == ext, text
+            assert {pt for pt in every if satisfies_naive(m, pt, f)} == ext, text
+
+    def test_engine_and_oracle_agree_on_random_models(self):
+        rng = random.Random(45)
+        for m in larger_models(30):
+            ev = ModelEvaluator(m)
+            for _ in range(8):
+                f = random_formula(rng, ("p", "q"), 3)
+                ext = ev.extension(f)
+                assert ext == {pt for pt in m.points() if satisfies(m, pt, f)}, render(f)
+                assert ext == {pt for pt in m.points() if satisfies_naive(m, pt, f)}, render(f)
 
 
 class TestAxiomSoundnessPerModel:
@@ -253,7 +308,13 @@ class TestExplain:
         text = explain(
             model, Point(W["w1"], A["a"]), parse("R(police & near)"), list(W), list(A)
         )
-        assert "witness agent c" in text
+        assert text == (
+            "R (police & near) at (w1, a): true\n"
+            "  witness agent c (present in every world a considers possible):\n"
+            "    police & near at (w1, c): true\n"
+            "      police at (w1, c): true\n"
+            "      near at (w1, c): true"
+        )
 
     def test_dedicto_lists_witnesses(self, museum):
         model, W, A = museum
@@ -266,7 +327,11 @@ class TestExplain:
     def test_know_failure_names_world(self, museum):
         model, W, A = museum
         text = explain(model, Point(W["w1"], A["a"]), parse("K police"), list(W), list(A))
-        assert "fails at indistinguishable world" in text
+        assert text == (
+            "K police at (w1, a): false\n"
+            "  fails at indistinguishable world w1:\n"
+            "    police at (w1, a): false"
+        )
 
     def test_deterministic(self, museum):
         model, W, A = museum

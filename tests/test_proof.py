@@ -457,8 +457,58 @@ class TestLiftKnowledge:
             (P, parse("p -> q")),
         )
         out = lift_knowledge(script, reg)
-        assert reg.names() == ["k_distribution_2eca3db1f0bd"]
-        assert any(line.justification == Cite("k_distribution_2eca3db1f0bd") for line in out.lines)
+        assert reg.names() == ["k_distribution_b68086be5a23"]
+        assert any(line.justification == Cite("k_distribution_b68086be5a23") for line in out.lines)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_output_cites_one_necessitation_and_peels_each_hypothesis(self, n):
+        rng = random.Random(170 + n)
+        reg = default_registry()
+        script = random_mp_proof(rng, n_hyps=n, registry=reg)
+        discharged = script
+        for i in range(n - 1, -1, -1):
+            discharged = deduction(discharged, i, reg)
+        out = lift_knowledge(script, reg)
+        assert len(out.lines) == 1 + 4 * n
+        assert Axiom(AxiomId.TAUT) not in [line.justification for line in out.lines]
+        cite = out.lines[0].justification
+        assert isinstance(cite, Cite) and cite.substitution == {}
+        # the registered theorem is the discharged proof plus one necessitation
+        entry = reg.get(cite.name)
+        last = len(discharged.lines) - 1
+        nec = ProofLine(Know(discharged.conclusion), Nec(last))
+        assert entry.proof.lines == discharged.lines + (nec,)
+        assert entry.schema == out.lines[0].formula == Know(discharged.conclusion)
+        for i in range(n):
+            dist, peeled, hyp, kept = out.lines[1 + 4 * i : 5 + 4 * i]
+            assert dist.justification == Axiom(AxiomId.DIST)
+            assert peeled.justification == MP(4 * i, 1 + 4 * i)
+            assert hyp == ProofLine(Know(script.hypotheses[i]), Hyp(i))
+            assert kept.justification == MP(3 + 4 * i, 2 + 4 * i)
+        assert check(out, reg) == Know(script.conclusion)
+
+    def test_an_implication_conclusion_stays_whole(self):
+        # q -> p from p: one antecedent is peeled, not two
+        reg = Registry()
+        q_to_p = parse("q -> p")
+        script = ProofScript(
+            (
+                ProofLine(P, Hyp(0)),
+                ProofLine(Implies(P, q_to_p), Axiom(AxiomId.TAUT)),
+                ProofLine(q_to_p, MP(0, 1)),
+            ),
+            (P,),
+        )
+        out = lift_knowledge(script, reg)
+        assert out.hypotheses == (Know(P),)
+        assert [line.formula for line in out.lines] == [
+            parse("K (p -> q -> p)"),
+            parse("K (p -> q -> p) -> (K p -> K (q -> p))"),
+            parse("K p -> K (q -> p)"),
+            Know(P),
+            Know(q_to_p),
+        ]
+        assert check(out, reg) == Know(q_to_p)
 
     def test_theorem_conclusions_are_sound(self):
         reg = Registry()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awarekit.checker import ModelEvaluator, satisfies
-from awarekit.model import Bounds, enumerate_models, random_model
+from awarekit.model import Bounds, Point, enumerate_models, random_model
 from awarekit.search import (
     AtomNotInBoundsError,
     Countermodel,
@@ -181,6 +182,37 @@ class TestDecideBounded:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_refutes_over_four_propositions(self):
+        v = decide_bounded(parse("p | q | r | ~s"), Bounds(1, 1, ("p", "q", "r", "s")))
+        assert isinstance(v, Countermodel)
+        assert v.model.valuation == {"p": set(), "q": set(), "r": set(), "s": {(0, 0)}}
+        assert v.point == Point(0, 0)
+
+    @pytest.mark.parametrize("worlds,agents,want", [(4, 3, 96_018_740), (5, 2, 11_473_992)])
+    def test_plain_count_past_three_by_three(self, worlds, agents, want):
+        # a shape of w worlds and a agents over one proposition has
+        # per_agent(w)**a models: each agent picks a row of k worlds, one
+        # of its Bell(k) partitions and one of 2**k valuations of p on it
+        bell = [1, 1, 2, 5, 15, 52]
+
+        def per_agent(w):
+            return sum(math.comb(w, k) * bell[k] * 2**k for k in range(w + 1))
+
+        closed = sum(
+            per_agent(w) ** a for w in range(1, worlds + 1) for a in range(1, agents + 1)
+        )
+        assert closed == want
+        v = decide_bounded(parse("K p -> p"), Bounds(worlds, agents, ("p",)))
+        assert v == ValidUpToBounds(Bounds(worlds, agents, ("p",)), want)
+
+    def test_witness_disagreeing_with_the_reference_raises(self, monkeypatch):
+        # the reference checker re-verifies every witness before it is returned
+        import awarekit.search
+
+        monkeypatch.setattr(awarekit.search, "satisfies", lambda m, pt, f: True)
+        with pytest.raises(AssertionError, match="search engine and reference checker disagree"):
+            decide_bounded(parse("K p"), Bounds(1, 1, ("p",)))
 
     def test_runs_twice_identically(self):
         f = parse("D p -> R p")

@@ -466,6 +466,21 @@ class TestTautology:
         assert not is_tautology(parse("~" * depth + "p"))
         assert is_tautology(parse("~" * depth + "p | ~p"))
 
+    def test_wide_deep_check_drops_each_integer_after_its_last_use(self):
+        # each entry's integer is 2**16 bits (8 KB) at 20 variables, so
+        # holding every level's for a whole pass would take about 18 MB
+        import tracemalloc
+
+        conj = " & ".join(f"p{i}" for i in range(20))
+        f = parse("~" * 2000 + f"({conj}) | " + "~" * 2001 + f"({conj})")
+        tracemalloc.start()
+        try:
+            assert is_tautology(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     def test_deep_modal_chain(self):
         # each chain is one abstraction unit; equal chains share it
         chain = "K " * 600 + "p"
