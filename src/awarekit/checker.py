@@ -4,21 +4,22 @@ The semantics is written out twice here.  ``_eval`` is the reference
 recursion: ``satisfies`` memoizes it per query on (world, agent, subformula
 identity), and ``satisfies_naive`` runs it without the cache so the cache
 can be cross-checked.  ``_Frame`` is the column engine, which every fast
-path runs on.  It takes a run of skeletons (models minus their valuation)
-that share world count, agent count and presence, and evaluates a formula
-over all of them under all valuations at once: each present pair gets one
-integer column whose bit i * 2**total + v, a lane, says "true in skeleton
-i of the run under valuation v".  ``ModelEvaluator`` runs a concrete model
-as a run of one skeleton under its one valuation: a column of one formula
-is a single bit, and the instances of a schema run as the lanes of one
-column, lane j for substitution j; and the bounded search in
-``awarekit.search`` sweeps each presence mask's run of skeletons under
-every valuation.
+path runs on.  It takes consecutive skeletons (models minus their
+valuation) of one world count and agent count, whatever their presence,
+and evaluates a formula over all of them under all valuations at once:
+each pair present in some skeleton gets one integer column, whose bits,
+the lanes, say "true in this skeleton under this valuation", skeleton by
+skeleton, each over a segment as long as its own valuations.
+``ModelEvaluator`` runs a concrete model as a frame of one skeleton under
+its one valuation: a column of one formula is a single bit, and the
+instances of a schema run as the lanes of one column, lane j for
+substitution j.  The bounded search in ``awarekit.search`` packs each
+shape's skeletons into frames (``_pack``), each one pass wide or one
+skeleton that needs several, and sweeps them under every valuation.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import AgentNotPresentError, EpistemicModel, Point, _Skeleton
@@ -128,179 +129,147 @@ def satisfies_naive(m: EpistemicModel, pt: Point, f: Formula) -> bool:
 
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-
-def _widen(flags: bytearray, total_bits: int) -> int:
-    """Lane mask over len(flags) skeletons of 2**total_bits lanes each, in
-    which the lanes of skeleton j are set iff flags[j]."""
-    if total_bits >= 3:  # whole bytes per skeleton
-        size = 1 << (total_bits - 3)
-        spans = (bytes(size), b"\xff" * size)
-        return int.from_bytes(b"".join([spans[f] for f in flags]), "little")
-    seg = (1 << (1 << total_bits)) - 1
-    return sum(seg << (j << total_bits) for j, f in enumerate(flags) if f)
-
-
-# a block as (member slots, worlds, (member slot, its R witness slots) pairs)
+# a block as (member slots, the inhabitant group of each of its worlds,
+# (member slot, its R witness slots) pairs), all under the presence of the
+# skeletons that use it
 _Block = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
-# what one pass needs: its blocks and, parallel to them, each block's lane
-# mask, the lanes of the pass whose skeleton uses the block
-_Layout = tuple[tuple[_Block, ...], tuple[int, ...]]
 
 
 class _Frame:
-    """The column engine over a run of skeletons that share world count,
-    agent count and presence mask.
+    """The column engine over consecutive skeletons of one (worlds, agents)
+    shape, whatever their presence masks.
 
-    Slot i is the i-th present pair in ascending pair-bit order, which is
-    agent-major (agent, world) order and the same in every skeleton of the
-    run.  Lane i * 2**total + v stands for skeleton i of the run under
-    valuation v, where total is the number of valuation bits; a column
-    holds one bit per lane of the current pass.  Construction does the
-    structural work once per run: it finds the agents present at each
-    world and every (agent, block) that some skeleton of the run uses,
-    with the block's member slots and, per member, the slots of the agents
-    able to witness an R step there (those whose row covers the block).
-    A pass then gives each block it needs the mask of the lanes whose
-    skeleton uses that block.
+    Slot i is the i-th pair, in ascending pair-bit order (agent-major
+    (agent, world) order), that some skeleton of the frame has present.
+    Skeleton i owns the segment of 2**(nprops * m_i) lanes from starts[i],
+    where m_i is its own number of present pairs: lane starts[i] + v stands
+    for it under valuation v.  Valuation bit lo + k is a proposition at the
+    skeleton's k-th present pair, and lo is m_i times the number of
+    propositions after it.  A column holds one bit per lane of the current
+    pass.  A frame holds as many whole skeletons as fit in one pass of
+    2**_CHUNK_BITS lanes (see _pack), or one skeleton too wide for a pass,
+    which then spans several passes alone.
 
-    None of this depends on the formula.  The frame builds the layouts of
-    all its passes at its first sweep and keeps them, so later sweeps of
-    the same width reuse them.  Its table maps each tuple and lane mask
-    the frame builds to one shared copy; frames built with one table, as
-    the frames of one plan are, hold each only once.
+    Presence is a property of each lane: absent[i] has the lanes whose
+    skeleton lacks slot i.  A column is exact at every present (slot, lane)
+    and may hold anything at an absent one, and nothing reads it there.
+    Construction finds every block some skeleton uses, under that
+    skeleton's presence: the block's member slots, the inhabitant group of
+    each of its worlds (world_slots[g] holds the slots of the agents present
+    at such a world) and, per member, the slots of the agents able to
+    witness an R step there, whose rows cover the block.  Blocks equal in
+    all three are one entry, and lanes[b] has the lanes of the skeletons
+    that use block b.  In a frame of one skeleton every mask is -1, all
+    lanes: that cuts nothing, which is sound because a block is never empty
+    and every column lies within full.
+
+    None of this depends on the formula, and neither do the atom columns
+    of a frame of several skeletons, which construction builds as well; a
+    kept plan keeps it all.  A frame of one skeleton takes its atom columns
+    from the shared counting patterns at each pass.
     """
 
-    __slots__ = ("pairs", "m", "world_slots", "blocks", "uses", "_first", "_table", "_kept")
+    __slots__ = ("skeletons", "starts", "size", "pairs", "m", "world_slots", "blocks", "lanes", "absent", "_atoms")
 
-    def __init__(self, run: Iterable[_Skeleton], table: dict | None = None):
-        run = iter(run)
-        first = next(run)
-        W = first.world_count
-        self.pairs = tuple(first.pair_bits())
-        self.m = len(self.pairs)
+    def __init__(self, skeletons: Sequence[_Skeleton], nprops: int):
+        self.skeletons = skeletons = tuple(skeletons)
+        W, A = skeletons[0].world_count, skeletons[0].agent_count
+        union, size, starts = 0, 0, []
+        for sk in skeletons:
+            union |= sk.presence_mask
+            starts.append(size)
+            size += 1 << nprops * sk.presence_mask.bit_count()
+        self.starts, self.size = tuple(starts), size
+        self.pairs = tuple([t for t in range(union.bit_length()) if union >> t & 1])
+        self.m = m = len(self.pairs)
         slot_of = {t: i for i, t in enumerate(self.pairs)}
-        rows = [0] * first.agent_count
-        agents_at: list[list[int]] = [[] for _ in range(W)]
-        for t in self.pairs:
-            a, w = divmod(t, W)
-            rows[a] |= 1 << w
-            agents_at[w].append(a)
-        self._first = first
-        self._table = table = {} if table is None else table
-
-        def share(x):
-            return table.setdefault(x, x)
-
-        self.world_slots = tuple([share(tuple([slot_of[b * W + u] for b in agents_at[u]])) for u in range(W)])
-        blocks: list[_Block] = []
-        block_of: dict[tuple[int, tuple[int, ...]], int] = {}
-
-        def block(a: int, blk: tuple[int, ...]) -> int:
-            b = block_of.get((a, blk))
-            if b is None:
-                b = block_of[a, blk] = len(blocks)
-                cover = 0
-                for u in blk:
-                    cover |= 1 << u
-                slots = share(tuple([slot_of[a * W + u] for u in blk]))
-                reach = []
-                for s, u in zip(slots, blk):
-                    cands = tuple([slot_of[c * W + u] for c in agents_at[u] if cover & rows[c] == cover])
-                    reach.append(share((s, share(cands))))
-                blocks.append(share((slots, blk, tuple(reach))))
-            return b
-
-        # per agent: each partition some skeleton gives it -> its blocks
-        part_of: list[dict] = [{} for _ in rows]
-        uses: list[tuple[int, ...]] = []  # per skeleton: indices of its blocks
-        for sk in chain((first,), run):
+        groups: dict[tuple[int, ...], int] = {}  # inhabitant slots -> group
+        blocks: dict[_Block, int] = {}
+        parts: dict[tuple, tuple[int, ...]] = {}  # (presence, agent, partition) -> its blocks
+        uses: list[tuple[int, ...]] = []  # per skeleton: the blocks it uses
+        runs: list[int] = []  # the first skeleton of each run of one presence mask
+        mask = None
+        for i, sk in enumerate(skeletons):
+            if sk.presence_mask != mask:
+                runs.append(i)
+                mask = sk.presence_mask
+                rows = [mask >> a * W & ((1 << W) - 1) for a in range(A)]
+                group_of: dict[int, int] = {}  # world -> its inhabitant group
             used: tuple[int, ...] = ()
             for a, part in enumerate(sk.partitions):
-                got = part_of[a].get(part)
+                key = (mask, a, part)
+                got = parts.get(key)
                 if got is None:
-                    got = part_of[a][part] = tuple([block(a, blk) for blk in part])
+                    got = []
+                    for blk in part:
+                        cover = 0
+                        for u in blk:
+                            cover |= 1 << u
+                        slots = tuple([slot_of[a * W + u] for u in blk])
+                        inhabited, reach = [], []
+                        for s, u in zip(slots, blk):
+                            g = group_of.get(u)
+                            if g is None:
+                                here = tuple([slot_of[c * W + u] for c in range(A) if rows[c] >> u & 1])
+                                g = group_of[u] = groups.setdefault(here, len(groups))
+                            inhabited.append(g)
+                            reach.append((s, tuple([slot_of[c * W + u] for c in range(A) if rows[c] & cover == cover])))
+                        got.append(blocks.setdefault((slots, tuple(inhabited), tuple(reach)), len(blocks)))
+                    got = parts[key] = tuple(got)
                 used += got
-            uses.append(share(used))
+            uses.append(used)
+        self.world_slots = tuple(groups)
         self.blocks = tuple(blocks)
-        self.uses = tuple(uses)
-        # (total_bits, _CHUNK_BITS) and the layouts of every pass at them
-        self._kept: tuple[tuple[int, int], tuple[_Layout, ...]] | None = None
-
-    def skeleton(self, i: int) -> _Skeleton:
-        """Skeleton i of the run, rebuilt from the blocks it uses."""
-        first = self._first
-        W = first.world_count
-        parts: list[list[tuple[int, ...]]] = [[] for _ in range(first.agent_count)]
-        for b in self.uses[i]:
-            slots, blk, _ = self.blocks[b]
-            parts[self.pairs[slots[0]] // W].append(blk)
-        return _Skeleton(W, first.agent_count, first.presence_mask, tuple(map(tuple, parts)))
-
-    def plain(self, i: int) -> _Layout:
-        """The layout of a pass that holds skeleton i alone.  Every lane of
-        the pass uses every block of the skeleton, so each mask is -1, all
-        lanes.  It cuts nothing, which is sound because a block is never
-        empty and every column lies within full."""
-        used = self.uses[i]
-        return tuple([self.blocks[b] for b in used]), (-1,) * len(used)
-
-    def _lane_mask(self, flags: bytearray, total_bits: int) -> int:
-        key = (bytes(flags), total_bits)
-        mask = self._table.get(key)
-        if mask is None:
-            mask = self._table[key] = _widen(flags, total_bits)
-        return mask
-
-    def _layouts(self, total_bits: int) -> Iterator[_Layout]:
-        """The layouts of the run's passes in order (see _passes): one per
-        pass when passes hold whole skeletons, otherwise one per skeleton,
-        which serves every pass of that skeleton."""
-        if total_bits >= _CHUNK_BITS:
-            for i in range(len(self.uses)):
-                yield self.plain(i)
+        self._atoms: list[list[int]] | None = None
+        if len(skeletons) == 1:
+            self.lanes = (-1,) * len(blocks)
+            self.absent = (0,) * m
             return
-        per_pass = 1 << (_CHUNK_BITS - total_bits)  # skeletons
-        for first in range(0, len(self.uses), per_pass):
-            group = self.uses[first : first + per_pass]
-            # users[b][j] flags that skeleton first + j uses block b
-            users: dict[int, bytearray] = {}
-            for j, used in enumerate(group):
-                for b in used:
-                    users.setdefault(b, bytearray(len(group)))[j] = 1
-            blocks = tuple([self.blocks[b] for b in users])
-            yield blocks, tuple([self._lane_mask(flags, total_bits) for flags in users.values()])
+        ends = (*starts, size)
+        lanes = [0] * len(blocks)
+        for i, used in enumerate(uses):
+            span = ((1 << (ends[i + 1] - ends[i])) - 1) << ends[i]
+            for b in used:
+                lanes[b] |= span
+        self.lanes = tuple(lanes)
+        # atoms[j][i] is proposition j at slot i, built per run of
+        # skeletons with one presence mask from counting patterns, whose
+        # periods divide every segment of the run
+        low = (size - 1).bit_length()
+        atoms = [[0] * m for _ in range(nprops)]
+        present = [0] * m
+        for i, j in zip(runs, [*runs[1:], len(skeletons)]):
+            start = starts[i]
+            ones = (1 << (ends[j] - start)) - 1
+            own = [slot_of[t] for t in skeletons[i].pair_bits()]
+            for k, s in enumerate(own):
+                present[s] |= ones << start
+                for p in range(nprops):
+                    bit = (nprops - 1 - p) * len(own) + k
+                    atoms[p][s] |= (_pattern_column(bit, low) & ones) << start
+        self._atoms = atoms
+        full = (1 << size) - 1
+        self.absent = tuple([full ^ c for c in present])
 
-    def _passes(self, total_bits: int) -> Iterator[tuple[int, int, list[int], _Layout]]:
-        """Split the run's lanes into ascending passes of at most
-        2**_CHUNK_BITS, so a pass holds as many whole skeletons as fit, or
-        part of one.  Yield (start, full, bits, layout) per pass: full has
-        one bit per lane of the pass, bit l of bits[t] is bit t of the
-        valuation of lane start + l, and layout (see _Layout) gives the
-        blocks the pass needs and, parallel to them, the mask of the lanes
-        whose skeleton uses each one.  The layouts of all passes are built
-        at the first call for a width and kept for the next."""
-        # passes start at multiples of width, and width and 2**total_bits
-        # are powers of two: so a pass never cuts a skeleton it does not
-        # hold alone, and valuation bits below low are lane-offset bits
-        width = 1 << _CHUNK_BITS
-        low = min(total_bits, _CHUNK_BITS)
-        end = len(self.uses) << total_bits
-        # read once: threads share a kept frame, and another width may
-        # replace its layouts meanwhile
-        key, kept = (total_bits, _CHUNK_BITS), self._kept
-        if kept is None or kept[0] != key:
-            kept = self._kept = key, tuple(self._layouts(total_bits))
-        layouts = kept[1]
-        # a layout serves one pass, or every pass of one skeleton
-        serves = max(width, 1 << total_bits)
-        wide = [_pattern_column(t, _CHUNK_BITS) for t in range(low)]
-        for start in range(0, end, width):
-            n = min(width, end - start)
-            full = (1 << n) - 1
-            # the memoized columns are already as wide as a full pass
-            bits = wide[:] if n == width else [c & full for c in wide]
-            bits += [full if start >> t & 1 else 0 for t in range(low, total_bits)]
-            yield start, full, bits, layouts[start // serves]
+    def _passes(self, nprops: int) -> Iterator[tuple[int, int, list[list[int]]]]:
+        """The frame's lanes in ascending passes of at most 2**_CHUNK_BITS:
+        one pass for a frame of several skeletons, otherwise as many as its
+        one skeleton needs.  Yield (start, full, atoms) per pass: full has
+        one bit per lane of the pass, whose first lane is start, and
+        atoms[j][i] is proposition j at slot i."""
+        if self._atoms is not None:
+            yield 0, (1 << self.size) - 1, self._atoms
+            return
+        # one skeleton of 2**total lanes: valuation bits below low count
+        # within a pass, and those above it are fixed by the pass's start
+        m = self.m
+        total = nprops * m
+        low = min(total, _CHUNK_BITS)
+        full = (1 << (1 << low)) - 1
+        counting = [_pattern_column(t, low) for t in range(low)]
+        for start in range(0, self.size, 1 << low):
+            bits = counting + [full if start >> t & 1 else 0 for t in range(low, total)]
+            yield start, full, [bits[(nprops - 1 - j) * m : (nprops - j) * m] for j in range(nprops)]
 
     def columns(
         self,
@@ -308,7 +277,6 @@ class _Frame:
         atoms: dict[str, list[int]],
         full: int,
         memo: dict[int, list[int]],
-        layout: _Layout,
     ) -> list[list[int]]:
         """Per root, its column per slot: bit l set iff the root holds at
         the slot's pair in lane l of the pass whose lanes are the bits of
@@ -316,12 +284,11 @@ class _Frame:
 
         atoms gives each proposition's column per slot; one it lacks is
         false everywhere.  memo maps node ids to columns already known, so
-        a node seeded there is a leaf whatever its kind.  layout gives the
-        pass's blocks and their lane masks, as _passes yields it.
+        a node seeded there is a leaf whatever its kind.
         """
         m = self.m
         zero = [0] * m
-        blocks, lanes = layout
+        blocks, lanes = self.blocks, self.lanes
 
         def ev(node: Formula) -> list[int]:
             got = memo.get(id(node))
@@ -372,9 +339,9 @@ class _Frame:
                         acc |= child[s]
                     inhabited.append(acc)
                 out = [0] * m
-                for (slots, worlds, _), acc in zip(blocks, lanes):
-                    for u in worlds:
-                        acc &= inhabited[u]
+                for (slots, groups, _), acc in zip(blocks, lanes):
+                    for g in groups:
+                        acc &= inhabited[g]
                     for s in slots:
                         out[s] |= acc
             elif kind is MetaVar:
@@ -390,6 +357,24 @@ class _Frame:
             # ev holds itself through its closure; without this the cycle
             # keeps the pass's columns alive until the cyclic collector runs
             del ev
+
+
+def _pack(skeletons: Iterable[_Skeleton], nprops: int) -> Iterator[_Frame]:
+    """Frames of the skeletons in order, packed greedily: each frame takes
+    the next skeletons while their lanes fit one pass of 2**_CHUNK_BITS,
+    and a skeleton wider than that takes a frame alone."""
+    width = 1 << _CHUNK_BITS
+    group: list[_Skeleton] = []
+    lanes = 0
+    for sk in skeletons:
+        size = 1 << nprops * sk.presence_mask.bit_count()
+        if group and lanes + size > width:
+            yield _Frame(group, nprops)
+            group, lanes = [], 0
+        group.append(sk)
+        lanes += size
+    if group:
+        yield _Frame(group, nprops)
 
 
 class ModelEvaluator:
@@ -416,15 +401,14 @@ class ModelEvaluator:
         self.present_mask = 0
         for a, w in m.presence:
             self.present_mask |= 1 << (a * W + w)
-        self._frame = _Frame([_Skeleton(W, m.agent_count, self.present_mask, m.indist)])
-        self._layout = self._frame.plain(0)
+        self._frame = _Frame([_Skeleton(W, m.agent_count, self.present_mask, m.indist)], 0)
         self._atoms = {
             p: [int(divmod(t, W) in pairs) for t in self._frame.pairs]
             for p, pairs in m.valuation.items()
         }
 
     def _columns(self, f: Formula) -> list[int]:
-        return self._frame.columns([f], self._atoms, 1, {}, self._layout)[0]
+        return self._frame.columns([f], self._atoms, 1, {})[0]
 
     def extension_mask(self, f: Formula) -> int:
         out = 0
@@ -501,9 +485,7 @@ class ModelEvaluator:
         except KeyError as exc:
             raise UnboundMetavariableError(exc.args[0]) from None
         # each substitution formula once, on the model alone
-        single = self._frame.columns(
-            roots, self._atoms, 1, {} if _memo is None else _memo, self._layout
-        )
+        single = self._frame.columns(roots, self._atoms, 1, {} if _memo is None else _memo)
         packed: dict[str, list[int]] = {}
         for i, name in enumerate(names):
             # bit j of slot s is the single bit of substitution j at slot s:
@@ -512,7 +494,7 @@ class ModelEvaluator:
             packed[name] = [int(bytes(bits[::-1]).translate(_BINARY_DIGITS), 2) for bits in per_slot]
         memo = {id(node): packed[node.name] for node in metavars}
         atoms = {p: [full if b else 0 for b in col] for p, col in self._atoms.items()}
-        [result] = self._frame.columns([schema], atoms, full, memo, self._layout)
+        [result] = self._frame.columns([schema], atoms, full, memo)
         out = []
         for j in range(n):
             point = self.first_failure(schema, [c >> j & 1 for c in result])

@@ -23,31 +23,37 @@ TestCanonicalSkeletons::test_pruned_equals_brute_force_oracle checks on
 ORACLE_SHAPES.
 
 Internally the scan groups models by skeleton (counts, presence,
-partitions), and groups the skeletons into runs that share counts and
-presence.  It sweeps each run on the column engine of ``awarekit.checker``:
-each subformula's truth at a pair becomes one big integer whose bit
-i * 2**total + v, a lane, says "true in skeleton i of the run under
-valuation v", so the per-skeleton and per-valuation work collapses into
-wide bitwise operations.  Lane order is enumeration order, so the lowest
-failing lane gives the first failing model; the witness point is its
-lowest failing pair in agent-major order, and it is re-verified against
-the reference checker before it leaves this module.
+partitions), and packs each shape's skeletons in order into frames that
+fill one pass of at most 2**16 lanes, whatever their presence; a skeleton
+wider than a pass takes a frame alone and spans several.  It sweeps the
+frames on the column engine of ``awarekit.checker``: each subformula's
+truth at a pair becomes one big integer whose bits, the lanes, say "true
+in this skeleton under this valuation", each skeleton over a segment of
+its own valuations, so the per-skeleton and per-valuation work collapses
+into wide bitwise operations.  Lane order is enumeration order, so the
+lowest failing lane gives the first failing model; a lane fails only at a
+pair its skeleton has.  The witness point is the lowest failing pair in
+agent-major order, and it is re-verified against the reference checker
+before it leaves this module.
 
-The canonical runs, their frames and each pass's block layout depend on
-the shape, the number of propositions and the pass width, never on the
-formula.  So a process that decides many formulas at one bound reuses
-them as a plan per shape, and each decision redoes only the formula work:
-the valuation columns, the evaluation, the lowest failing lane and the
-re-verification.  The first sweep that reaches the end of a shape counts
-its skeletons; the next one keeps the plan if the shape has at most
-_PLAN_SKELETONS (8,192) skeletons.  A full-order sweep always stops at a
-witness, so it never reaches the end of a shape: it streams its frames,
-and plans are kept of canonical skeletons alone.  (3,3) has 174
-canonical skeletons and (4,3) 1,616, but (5,3) has 17,935 and always
+The canonical frames, their blocks and lane masks, and the atom columns
+of each frame that packs several skeletons depend on the shape, the
+number of propositions and the pass width, never on the formula.  So a
+process that decides many formulas at one bound reuses them as a plan
+per shape, and each decision redoes only the formula work: the
+evaluation, the lowest failing lane and the re-verification.  With one
+proposition each shape up to (3,3) fits one pass, so a valid decision at
+the (3,3) bound runs 9 passes; one at (4,3) runs 30, and one at (3,3)
+over two propositions 99.  The first sweep that reaches the end of a
+shape counts its skeletons; the next one keeps the plan if the shape has
+at most _PLAN_SKELETONS (8,192) skeletons.  A full-order sweep always
+stops at a witness, so it never reaches the end of a shape: it streams
+its frames, and plans are kept of canonical skeletons alone.  (3,3) has
+174 canonical skeletons and (4,3) 1,616, but (5,3) has 17,935 and always
 streams.  The plans kept hold at most that many skeletons in all, least
-recently used out first.  The plans of the (3,3) bound take about 0.2 MB
-with one proposition and 0.5 MB with two, and those of the (4,3) bound
-3.1 MB with one.  A process that decides once keeps nothing, and a sweep
+recently used out first.  The plans of the (3,3) bound take about 0.3 MB
+with one proposition and 3.2 MB with two, and those of the (4,3) bound
+6.9 MB with one.  A process that decides once keeps nothing, and a sweep
 that stops at a witness keeps nothing of the shape it stopped in.
 """
 
@@ -55,13 +61,12 @@ from __future__ import annotations
 
 import random
 import threading
-from itertools import groupby
-from operator import attrgetter
+from bisect import bisect_right
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import checker
 from ._record import Record
-from .checker import ModelEvaluator, _Frame, satisfies
+from .checker import ModelEvaluator, _Frame, _pack, satisfies
 from .model import (
     Bounds,
     EpistemicModel,
@@ -139,9 +144,9 @@ _plans: dict[tuple, tuple[_Frame, ...]] = {}  # least recently used first
 _plans_lock = threading.Lock()
 
 
-def _runs(worlds: int, agents: int, nprops: int) -> Iterator[_Frame]:
-    """The frames of the canonical runs of one (worlds, agents) shape in
-    enumeration order: from the shape's kept plan, or else built as the
+def _frames(worlds: int, agents: int, nprops: int) -> Iterator[_Frame]:
+    """The frames of one (worlds, agents) shape's canonical skeletons in
+    enumeration order: from the shape's kept plan, or else packed as the
     skeletons stream in.  Only a sweep that reaches the end of the shape
     records or keeps anything, so one that stops at a witness leaves no
     partial plan."""
@@ -155,12 +160,10 @@ def _runs(worlds: int, agents: int, nprops: int) -> Iterator[_Frame]:
         yield from plan
         return
     keep = size is not None and size <= _PLAN_SKELETONS
-    table: dict | None = {} if keep else None
     frames: list[_Frame] = []
     count = 0
-    for _, group in groupby(_iter_skeletons_wa(worlds, agents, True), attrgetter("presence_mask")):
-        frame = _Frame(group, table)
-        count += len(frame.uses)
+    for frame in _pack(_iter_skeletons_wa(worlds, agents, True), nprops):
+        count += len(frame.skeletons)
         if keep:
             frames.append(frame)
         yield frame
@@ -180,34 +183,26 @@ def _sweep(
 ) -> tuple[int, tuple[_Frame, int, int] | None]:
     """Sweep the frames in order for a lane where f fails.  Returns the
     number of lanes before the first failing one and its (frame, lane,
-    slot), where the slot is the lowest at which f fails in that lane, or
-    the number of all lanes and None.  Lane i * 2**total + v of a frame is
-    skeleton i of its run under valuation v, so the lowest lane is the
-    first failure in enumeration order."""
+    slot), where the slot is the lowest present one at which f fails in
+    that lane, or the number of all lanes and None.  A frame's lanes are
+    its skeletons' segments in order, each under every valuation in
+    order, so the lowest lane is the first failure in enumeration order."""
     checked = 0
     for frame in frames:
-        m = frame.m
-        total = len(props) * m
-        lows = _lows(props, m)
-        for start, full, bits, layout in frame._passes(total):
-            atoms = {p: bits[lo : lo + m] for p, lo in lows}
-            [result] = frame.columns([f], atoms, full, {}, layout)
+        gaps = frame.absent
+        for start, full, atoms in frame._passes(len(props)):
+            [result] = frame.columns([f], dict(zip(props, atoms)), full, {})
+            # a lane fails where f is false at a slot its skeleton has
             ok = full
-            for c in result:
-                ok &= c
+            for c, gap in zip(result, gaps):
+                ok &= c | gap
             failing = full ^ ok
             if failing:
                 lane = (failing & -failing).bit_length() - 1
-                slot = next(i for i, c in enumerate(result) if not c >> lane & 1)
+                slot = next(i for i, c in enumerate(result) if not (c | gaps[i]) >> lane & 1)
                 return checked + start + lane, (frame, start + lane, slot)
-        checked += len(frame.uses) << total
+        checked += frame.size
     return checked, None
-
-
-def _lows(props: tuple[str, ...], m: int) -> list[tuple[str, int]]:
-    # the first proposition is most significant: valuation bit lo + i of
-    # proposition p's (p, lo) is p at slot i
-    return [(p, (len(props) - 1 - j) * m) for j, p in enumerate(props)]
 
 
 def _witness(
@@ -215,10 +210,15 @@ def _witness(
 ) -> tuple[EpistemicModel, Point]:
     """The model and point of a failing lane, re-verified by the reference
     checker."""
-    m = frame.m
-    total = len(props) * m
-    sk, index = frame.skeleton(lane >> total), lane & ((1 << total) - 1)
-    masks = tuple(_scatter(index >> lo & ((1 << m) - 1), frame.pairs) for _, lo in _lows(props, m))
+    i = bisect_right(frame.starts, lane) - 1
+    sk, index = frame.skeletons[i], lane - frame.starts[i]
+    pairs = sk.pair_bits()
+    m = len(pairs)
+    # the first proposition is most significant, each over the skeleton's
+    # present pairs in pair-bit order
+    masks = tuple(
+        _scatter(index >> (len(props) - 1 - j) * m & ((1 << m) - 1), pairs) for j in range(len(props))
+    )
     model = _materialize(sk, masks, props)
     a, w = divmod(frame.pairs[slot], sk.world_count)
     point = Point(w, a)
@@ -236,7 +236,7 @@ def _scan(
     # which a bound past the C size limit cannot be
     for w in range(1, bounds.max_worlds + 1):
         for a in range(1, bounds.max_agents + 1):
-            lanes, hit = _sweep(f, props, _runs(w, a, nprops))
+            lanes, hit = _sweep(f, props, _frames(w, a, nprops))
             if hit is None:
                 checked += lanes if prune else _model_count(w, a, nprops)
                 continue
@@ -244,8 +244,7 @@ def _scan(
                 # a relabeled countermodel is a countermodel, so this
                 # shape's first failing model in full order exists; find it
                 # in a stream of frames, which nothing keeps
-                runs = groupby(_iter_skeletons_wa(w, a, False), attrgetter("presence_mask"))
-                lanes, hit = _sweep(f, props, (_Frame(group) for _, group in runs))
+                lanes, hit = _sweep(f, props, _pack(_iter_skeletons_wa(w, a, False), nprops))
                 if hit is None:
                     raise AssertionError("canonical and full sweeps disagree; please report")
             return checked + lanes, _witness(f, props, *hit)

@@ -267,25 +267,25 @@ class TestChunkedSweep:
 
     def test_tiny_chunks_change_nothing(self, monkeypatch):
         # force the column engine through every pass layout: several
-        # skeletons in one pass, one presence run over several passes of
-        # whole skeletons, and one skeleton over several passes
+        # skeletons in one pass, skeletons of different presence masks in
+        # one pass, and one skeleton over several passes
         import awarekit.checker as engine
 
         baseline = [decide_bounded(parse(t), self.WIDE) for t in self.TEXTS]
         passes = engine._Frame._passes
         seen = set()
 
-        def spy(frame, total_bits):
-            run = []
-            for start, full, bits, layout in passes(frame, total_bits):
-                run.append(full.bit_length())
-                yield start, full, bits, layout
-            width = 1 << total_bits
-            if any(n > width for n in run):
+        def spy(frame, nprops):
+            run = 0
+            for start, full, atoms in passes(frame, nprops):
+                run += 1
+                yield start, full, atoms
+            if len(frame.skeletons) > 1:
                 seen.add("skeletons share a pass")
-            if len(frame.uses) > 1 and len(run) > 1 and min(run) >= width:
-                seen.add("run over several passes")
-            if any(n < width for n in run):
+            if len({sk.presence_mask for sk in frame.skeletons}) > 1:
+                seen.add("presence masks share a pass")
+            if run > 1:
+                assert len(frame.skeletons) == 1
                 seen.add("skeleton over several passes")
 
         monkeypatch.setattr(engine._Frame, "_passes", spy)
@@ -295,25 +295,26 @@ class TestChunkedSweep:
             assert chunked == baseline, bits
         assert seen == {
             "skeletons share a pass",
-            "run over several passes",
+            "presence masks share a pass",
             "skeleton over several passes",
         }
 
     def test_every_column_lies_within_full(self, monkeypatch):
-        # a pass of one skeleton masks its blocks with -1, all lanes, and K
-        # and D start from the mask: that cuts nothing, so it is sound only
-        # while every column, seeded or computed, has no bit outside full
+        # a frame of one skeleton masks its blocks with -1, all lanes, and
+        # K and D start from the mask: that cuts nothing, so it is sound
+        # only while every column, seeded or computed, has no bit outside full
         import awarekit.checker as engine
 
         columns = engine._Frame.columns
         masks = set()
 
-        def spy(frame, roots, atoms, full, memo, layout):
-            out = columns(frame, roots, atoms, full, memo, layout)
+        def spy(frame, roots, atoms, full, memo):
+            out = columns(frame, roots, atoms, full, memo)
             for col in [*out, *memo.values()]:
                 assert len(col) == frame.m
                 assert all(0 <= c <= full for c in col)
-            masks.update(-1 if mask == -1 else "lanes" for mask in layout[1])
+            assert all(0 <= gap <= full for gap in frame.absent)
+            masks.update(-1 if mask == -1 else "lanes" for mask in frame.lanes)
             return out
 
         monkeypatch.setattr(engine._Frame, "columns", spy)
@@ -326,10 +327,80 @@ class TestChunkedSweep:
         assert fuzz_soundness(3, 11, Bounds(3, 3, ("p", "q")), 3).ok
         assert masks == {-1}
 
+    def test_warm_three_by_three_runs_one_pass_per_shape(self, clear_plans, monkeypatch):
+        # the canonical skeletons of each of the nine shapes up to (3,3)
+        # over p fit one pass, whatever their presence masks
+        import awarekit.checker as engine
+
+        f, bounds = parse("K p -> p"), Bounds(3, 3, ("p",))
+        for _ in range(3):  # measure every shape, then keep its plan
+            decide_bounded(f, bounds)
+        columns = engine._Frame.columns
+        calls = []
+
+        def counting(frame, *args):
+            calls.append(frame)
+            return columns(frame, *args)
+
+        monkeypatch.setattr(engine._Frame, "columns", counting)
+        assert decide_bounded(f, bounds) == ValidUpToBounds(bounds, 365441)
+        assert len(calls) == 9
+
+
+class TestMixedPresencePasses:
+    """Skeletons of different presence masks share a pass, each over its
+    own lane segment; a lane must never read a pair its skeleton lacks.
+    Checked against the reference scan with passes of 2**5 and 2**9 lanes,
+    where a pass holds a presence-0 skeleton (one lane, no slots) among
+    others, and wider skeletons span several passes."""
+
+    BOUNDS = [Bounds(2, 2, ("p", "q")), Bounds(3, 2, ("p",)), Bounds(2, 3, ("p",))]
+    IDS = ["2x2pq", "3x2p", "2x3p"]
+
+    @staticmethod
+    def agree(f, bounds, bits):
+        import awarekit.checker as engine
+
+        passes = engine._Frame._passes
+        mixed = []
+
+        def spy(frame, nprops):
+            masks = [sk.presence_mask for sk in frame.skeletons]
+            if 0 in masks and len(set(masks)) > 1:
+                mixed.append(masks)
+            return passes(frame, nprops)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CHUNK_BITS", bits)
+            mp.setattr(engine._Frame, "_passes", spy)
+            assert decide_bounded(f, bounds) == naive_verdict(f, bounds), render(f)
+            pruned = decide_bounded(f, bounds, prune=True)
+        want = naive_decide(f, bounds, prune=True)
+        if isinstance(pruned, ValidUpToBounds):
+            assert pruned.models_checked == want, render(f)
+        else:
+            assert (pruned.model, pruned.point) == want, render(f)
+        # every sweep starts at the (1,1) shape, whose presence-0 skeleton
+        # shares the first pass with the skeleton of one present pair
+        assert mixed
+
+    @pytest.mark.parametrize("bits", [5, 9])
+    @pytest.mark.parametrize("bounds", BOUNDS, ids=IDS)
+    @pytest.mark.parametrize("text", ["D p", "R ~p", "~R ~R p -> ~D ~R p"])
+    def test_absent_pairs_are_never_read(self, text, bounds, bits):
+        self.agree(parse(text), bounds, bits)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    @pytest.mark.parametrize("bits", [5, 9])
+    @pytest.mark.parametrize("bounds", BOUNDS, ids=IDS)
+    def test_equals_naive_scan(self, bounds, bits, seed):
+        self.agree(random_formula(random.Random(seed), bounds.props, 4), bounds, bits)
+
 
 class TestPackedRuns:
-    # at these bounds a presence mask holds up to 25 skeletons, which the
-    # engine sweeps in one lane space (skeleton x valuation)
+    # at these bounds a shape's skeletons, of every presence mask, share
+    # one pass, each over its own segment of lanes (skeleton x valuation)
     @pytest.mark.parametrize("prune", [False, True], ids=["plain", "pruned"])
     @pytest.mark.parametrize("bounds", [Bounds(3, 2, ("p",)), Bounds(2, 3, ("p",))], ids=["3x2", "2x3"])
     def test_agrees_with_naive_on_random_formulas(self, bounds, prune):
