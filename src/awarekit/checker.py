@@ -20,9 +20,12 @@ skeleton that needs several, and sweeps them under every valuation.
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_right
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .model import AgentNotPresentError, EpistemicModel, Point, _Skeleton
+from .model import AgentNotPresentError, EpistemicModel, Point, _scatter, _Skeleton
 from .syntax import (
     And,
     Atom,
@@ -135,6 +138,13 @@ _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _Block = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
 
 
+def _valuation_bit(nprops: int, p: int, m: int, k: int) -> int:
+    """The bit of a skeleton's valuation index that gives proposition p
+    at the k-th of its m present pairs (pair-bit order): the first
+    proposition is most significant."""
+    return (nprops - 1 - p) * m + k
+
+
 class _Frame:
     """The column engine over consecutive skeletons of one (worlds, agents)
     shape, whatever their presence masks.
@@ -143,9 +153,7 @@ class _Frame:
     (agent, world) order), that some skeleton of the frame has present.
     Skeleton i owns the segment of 2**(nprops * m_i) lanes from starts[i],
     where m_i is its own number of present pairs: lane starts[i] + v stands
-    for it under valuation v.  Valuation bit lo + k is a proposition at the
-    skeleton's k-th present pair, and lo is m_i times the number of
-    propositions after it.  A column holds one bit per lane of the current
+    for it under valuation v, whose bits _valuation_bit places.  A column holds one bit per lane of the current
     pass.  A frame holds as many whole skeletons as fit in one pass of
     2**_CHUNK_BITS lanes (see _pack), or one skeleton too wide for a pass,
     which then spans several passes alone.
@@ -245,7 +253,7 @@ class _Frame:
             for k, s in enumerate(own):
                 present[s] |= ones << start
                 for p in range(nprops):
-                    bit = (nprops - 1 - p) * len(own) + k
+                    bit = _valuation_bit(nprops, p, len(own), k)
                     atoms[p][s] |= (_pattern_column(bit, low) & ones) << start
         self._atoms = atoms
         full = (1 << size) - 1
@@ -269,7 +277,22 @@ class _Frame:
         counting = [_pattern_column(t, low) for t in range(low)]
         for start in range(0, self.size, 1 << low):
             bits = counting + [full if start >> t & 1 else 0 for t in range(low, total)]
-            yield start, full, [bits[(nprops - 1 - j) * m : (nprops - j) * m] for j in range(nprops)]
+            yield start, full, [[bits[_valuation_bit(nprops, j, m, k)] for k in range(m)] for j in range(nprops)]
+
+    def valuation(self, lane: int, nprops: int) -> tuple[_Skeleton, tuple[int, ...]]:
+        """The skeleton of a lane and its valuation there: per proposition,
+        the pair-bit mask of the pairs where it is true."""
+        i = bisect_right(self.starts, lane) - 1
+        sk, index = self.skeletons[i], lane - self.starts[i]
+        pairs = sk.pair_bits()
+        m = len(pairs)
+        compact = [index >> _valuation_bit(nprops, p, m, 0) & ((1 << m) - 1) for p in range(nprops)]
+        return sk, tuple([_scatter(c, pairs) for c in compact])
+
+    def nbytes(self) -> int:
+        """Bytes of the frame's lane masks, absent masks and atom columns:
+        what it holds in proportion to its lanes."""
+        return sum(map(sys.getsizeof, chain(self.lanes, self.absent, *self._atoms or ())))
 
     def columns(
         self,

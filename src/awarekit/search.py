@@ -45,23 +45,24 @@ evaluation, the lowest failing lane and the re-verification.  With one
 proposition each shape up to (3,3) fits one pass, so a valid decision at
 the (3,3) bound runs 9 passes; one at (4,3) runs 30, and one at (3,3)
 over two propositions 99.  The first sweep that reaches the end of a
-shape counts its skeletons; the next one keeps the plan if the shape has
-at most _PLAN_SKELETONS (8,192) skeletons.  A full-order sweep always
-stops at a witness, so it never reaches the end of a shape: it streams
-its frames, and plans are kept of canonical skeletons alone.  (3,3) has
-174 canonical skeletons and (4,3) 1,616, but (5,3) has 17,935 and always
-streams.  The plans kept hold at most that many skeletons in all, least
-recently used out first.  The plans of the (3,3) bound take about 0.3 MB
-with one proposition and 3.2 MB with two, and those of the (4,3) bound
-6.9 MB with one.  A process that decides once keeps nothing, and a sweep
-that stops at a witness keeps nothing of the shape it stopped in.
+shape measures its plan in bytes (_Frame.nbytes: the lane masks and atom
+columns, which grow with the lanes of the frames that pack several
+skeletons); the next one keeps the plan if it holds at most _PLAN_BYTES
+(16 MiB).  A full-order sweep always stops at a witness, so it never
+reaches the end of a shape: it streams its frames, and plans are kept of
+canonical skeletons alone.  The plans kept hold at most _PLAN_BYTES in
+all, least recently used out first.  By that measure the plans of the
+(3,3) bound take 0.1 MB with one proposition and 2.8 MB with two, those
+of the (4,3) bound 5.9 MB with one, and those of the (6,2) bound 9.9 MB;
+(3,5) over one proposition takes 30 MB and streams, as (5,3) and (4,4)
+do.  A process that decides once keeps nothing, and a sweep that stops at
+a witness keeps nothing of the shape it stopped in.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from bisect import bisect_right
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import checker
@@ -75,7 +76,6 @@ from .model import (
     _iter_skeletons_wa,
     _materialize,
     _model_count,
-    _scatter,
     random_model,
 )
 from .proof import AXIOM_SCHEMAS, NON_TAUT_AXIOMS
@@ -138,8 +138,8 @@ class AtomNotInBoundsError(ValueError):
 
 # canonical plans and shape sizes by (W, A, number of props, _CHUNK_BITS);
 # see the module docstring
-_PLAN_SKELETONS = 8192
-_sizes: dict[tuple, int] = {}  # key -> skeleton count, once swept to the end
+_PLAN_BYTES = 16 << 20
+_sizes: dict[tuple, int] = {}  # key -> _Frame.nbytes of its frames, once swept to the end
 _plans: dict[tuple, tuple[_Frame, ...]] = {}  # least recently used first
 _plans_lock = threading.Lock()
 
@@ -159,11 +159,11 @@ def _frames(worlds: int, agents: int, nprops: int) -> Iterator[_Frame]:
     if plan is not None:
         yield from plan
         return
-    keep = size is not None and size <= _PLAN_SKELETONS
+    keep = size is not None and size <= _PLAN_BYTES
     frames: list[_Frame] = []
     count = 0
     for frame in _pack(_iter_skeletons_wa(worlds, agents, True), nprops):
-        count += len(frame.skeletons)
+        count += frame.nbytes()
         if keep:
             frames.append(frame)
         yield frame
@@ -172,7 +172,7 @@ def _frames(worlds: int, agents: int, nprops: int) -> Iterator[_Frame]:
         if keep:
             _plans[key] = tuple(frames)
             total = sum(_sizes[k] for k in _plans)
-            while total > _PLAN_SKELETONS:
+            while total > _PLAN_BYTES:
                 oldest = next(iter(_plans))
                 total -= _sizes[oldest]
                 del _plans[oldest]
@@ -210,15 +210,7 @@ def _witness(
 ) -> tuple[EpistemicModel, Point]:
     """The model and point of a failing lane, re-verified by the reference
     checker."""
-    i = bisect_right(frame.starts, lane) - 1
-    sk, index = frame.skeletons[i], lane - frame.starts[i]
-    pairs = sk.pair_bits()
-    m = len(pairs)
-    # the first proposition is most significant, each over the skeleton's
-    # present pairs in pair-bit order
-    masks = tuple(
-        _scatter(index >> (len(props) - 1 - j) * m & ((1 << m) - 1), pairs) for j in range(len(props))
-    )
+    sk, masks = frame.valuation(lane, len(props))
     model = _materialize(sk, masks, props)
     a, w = divmod(frame.pairs[slot], sk.world_count)
     point = Point(w, a)

@@ -505,6 +505,15 @@ def _witness_shape(verdict):
     return verdict.model.world_count, verdict.model.agent_count
 
 
+def _shape_bytes(worlds, agents, nprops):
+    """_Frame.nbytes summed over a shape's canonical frames, as the plan
+    cap counts them."""
+    from awarekit.checker import _pack
+    from awarekit.model import _iter_skeletons_wa
+
+    return sum(frame.nbytes() for frame in _pack(_iter_skeletons_wa(worlds, agents, True), nprops))
+
+
 class TestPlanReuse:
     # decisions at one bound share each (worlds, agents) shape's frames and
     # pass layouts: a shape is measured by the first sweep that reaches its
@@ -567,33 +576,49 @@ class TestPlanReuse:
         assert kept == {(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)}
         assert (3, 2) not in {key[:2] for key in search._sizes}
 
-    @pytest.mark.parametrize("cap", [20, 30], ids=["one-shape-over", "total-over"])
-    def test_cap(self, clear_plans, monkeypatch, cap):
+    @pytest.mark.parametrize("over", ["one-shape-over", "total-over"])
+    def test_cap(self, clear_plans, monkeypatch, over):
         from awarekit import search
         from awarekit.checker import _CHUNK_BITS
 
         # plain decisions sweep the canonical skeletons of each shape, so
-        # only those plans are measured and kept.  Canonical shapes of
-        # Bounds(2, 3): (1,1) 2, (1,2) 3, (1,3) 4, (2,1) 4, (2,2) 11 and
-        # (2,3) 24 skeletons, 48 in all
+        # only those plans are measured and kept.  The cap is either below
+        # the bytes of the largest shape of Bounds(2, 3), (2,3), or above
+        # them and below those of all six shapes
         bounds = Bounds(2, 3, ("p",))
+        sizes = {(w, a): _shape_bytes(w, a, 1) for w in (1, 2) for a in (1, 2, 3)}
+        largest = sizes[2, 3]
+        assert largest == max(sizes.values())
+        cap = largest - 1 if over == "one-shape-over" else largest + sizes[2, 2]
+        assert cap < sum(sizes.values())
         texts = ["K p -> p", "D p -> R p", "K ~R p -> ~D K p", "R K p -> K R p"]
         want = []
         for t in texts:
             clear_plans()
             want.append(decide_bounded(parse(t), bounds))
         clear_plans()
-        monkeypatch.setattr(search, "_PLAN_SKELETONS", cap)
+        monkeypatch.setattr(search, "_PLAN_BYTES", cap)
         for _ in range(3):
             assert [decide_bounded(parse(t), bounds) for t in texts] == want
-        assert search._sizes[2, 3, 1, _CHUNK_BITS] == 24
+        assert search._sizes[2, 3, 1, _CHUNK_BITS] == largest
         assert set(search._sizes) <= {(w, a, 1, _CHUNK_BITS) for w in (1, 2) for a in (1, 2, 3)}
-        if cap < 24:
+        if cap < largest:
             assert (2, 3) not in {key[:2] for key in search._plans}
         else:
             assert set(search._plans) < set(search._sizes)
         assert search._plans
         assert sum(search._sizes[key] for key in search._plans) <= cap
+
+    def test_default_cap_keeps_the_documented_bounds(self):
+        from awarekit import search
+
+        # every shape of the (3,3) bound over p and over p,q, and of the
+        # (4,3) bound over p, fits the cap at once: each bound is kept whole
+        for worlds, agents, nprops in [(3, 3, 1), (3, 3, 2), (4, 3, 1)]:
+            total = sum(
+                _shape_bytes(w, a, nprops) for w in range(1, worlds + 1) for a in range(1, agents + 1)
+            )
+            assert total <= search._PLAN_BYTES, (worlds, agents, nprops)
 
     def test_concurrent_decisions_agree(self, clear_plans, monkeypatch):
         # threads share the plans; a small cap makes them evict each other's
@@ -612,7 +637,8 @@ class TestPlanReuse:
             clear_plans()
             want.append(decide_bounded(parse(text), bounds, prune))
         clear_plans()
-        monkeypatch.setattr(search, "_PLAN_SKELETONS", 30)
+        cap = _shape_bytes(2, 3, 1) + _shape_bytes(2, 2, 1)
+        monkeypatch.setattr(search, "_PLAN_BYTES", cap)
         wrong: list = []
 
         def work(k):
@@ -636,7 +662,7 @@ class TestPlanReuse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        assert sum(search._sizes[key] for key in search._plans) <= 30
+        assert sum(search._sizes[key] for key in search._plans) <= cap
 
     def test_no_reference_cycles_on_any_path(self, clear_plans):
         # a streaming sweep, one that keeps the plan and one that reuses it

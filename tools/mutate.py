@@ -11,9 +11,7 @@ text is not found exactly once.
 
 Usage, from the repository root:
 
-    python3 tools/mutate.py            # every mutant
-    python3 tools/mutate.py NAME ...   # the named mutants only
-    python3 tools/mutate.py --list     # names and descriptions
+    python3 tools/mutate.py
 
 A killed mutant takes seconds; a surviving one takes a full run of its
 test files.  Standard library only.
@@ -110,9 +108,9 @@ MUTANTS = [
     ),
     (
         "no-plan-cap",
-        "a shape's plan is kept however many skeletons it has",
+        "a shape's plan is kept however many bytes it holds",
         "search.py",
-        "    keep = size is not None and size <= _PLAN_SKELETONS",
+        "    keep = size is not None and size <= _PLAN_BYTES",
         "    keep = size is not None",
         SEARCH_TESTS,
     ),
@@ -150,10 +148,10 @@ MUTANTS = [
     ),
     (
         "witness-segment-off-by-one",
-        "_witness reads a lane's segment offset one lane late",
-        "search.py",
-        "    sk, index = frame.skeletons[i], lane - frame.starts[i]",
-        "    sk, index = frame.skeletons[i], lane - frame.starts[i] - 1",
+        "the witness reads a lane's segment offset one lane late",
+        "checker.py",
+        "        sk, index = self.skeletons[i], lane - self.starts[i]",
+        "        sk, index = self.skeletons[i], lane - self.starts[i] - 1",
         SEARCH_TESTS,
     ),
 ]
@@ -167,16 +165,7 @@ def _pytest(copy: Path, tests: tuple[str, ...]) -> bool:
     return done.returncode == 0
 
 
-def main(argv: list[str]) -> int:
-    if argv == ["--list"]:
-        for name, description, *_ in MUTANTS:
-            print(f"{name}: {description}")
-        return 0
-    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
-    unknown = set(argv) - {m[0] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="awarekit-mutate-") as tmp:
         copy = Path(tmp) / "repo"
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
@@ -186,12 +175,12 @@ def main(argv: list[str]) -> int:
                 shutil.copytree(source, copy / part, ignore=ignore)
             else:
                 shutil.copy2(source, copy / part)
-        covered = sorted({t for m in chosen for t in m[5]})
+        covered = sorted({t for m in MUTANTS for t in m[5]})
         if not _pytest(copy, tuple(covered)):
             print(f"the unchanged copy fails {' '.join(covered)}", file=sys.stderr)
             return 2
         killed = 0
-        for name, description, file, old, new, tests in chosen:
+        for name, description, file, old, new, tests in MUTANTS:
             path = copy / "src" / "awarekit" / file
             text = path.read_text(encoding="utf-8")
             if text.count(old) != 1:
@@ -206,9 +195,9 @@ def main(argv: list[str]) -> int:
             killed += not survived
             verdict = "SURVIVED" if survived else "killed"
             print(f"{verdict:8} {name} ({time.perf_counter() - start:.1f} s): {description}", flush=True)
-    print(f"killed {killed} of {len(chosen)}")
+    print(f"killed {killed} of {len(MUTANTS)}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
