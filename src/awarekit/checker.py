@@ -141,7 +141,8 @@ _Block = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, tuple[int, ...
 def _valuation_bit(nprops: int, p: int, m: int, k: int) -> int:
     """The bit of a skeleton's valuation index that gives proposition p
     at the k-th of its m present pairs (pair-bit order): the first
-    proposition is most significant."""
+    proposition is most significant, and each one's m bits are
+    consecutive."""
     return (nprops - 1 - p) * m + k
 
 
@@ -275,9 +276,10 @@ class _Frame:
         low = min(total, _CHUNK_BITS)
         full = (1 << (1 << low)) - 1
         counting = [_pattern_column(t, low) for t in range(low)]
+        firsts = [_valuation_bit(nprops, j, m, 0) for j in range(nprops)]
         for start in range(0, self.size, 1 << low):
             bits = counting + [full if start >> t & 1 else 0 for t in range(low, total)]
-            yield start, full, [[bits[_valuation_bit(nprops, j, m, k)] for k in range(m)] for j in range(nprops)]
+            yield start, full, [bits[t : t + m] for t in firsts]
 
     def valuation(self, lane: int, nprops: int) -> tuple[_Skeleton, tuple[int, ...]]:
         """The skeleton of a lane and its valuation there: per proposition,
@@ -286,8 +288,8 @@ class _Frame:
         sk, index = self.skeletons[i], lane - self.starts[i]
         pairs = sk.pair_bits()
         m = len(pairs)
-        compact = [index >> _valuation_bit(nprops, p, m, 0) & ((1 << m) - 1) for p in range(nprops)]
-        return sk, tuple([_scatter(c, pairs) for c in compact])
+        firsts = [_valuation_bit(nprops, p, m, 0) for p in range(nprops)]
+        return sk, tuple([_scatter(index >> t & ((1 << m) - 1), pairs) for t in firsts])
 
     def nbytes(self) -> int:
         """Bytes of the frame's lane masks, absent masks and atom columns:
