@@ -154,10 +154,11 @@ class _Frame:
     (agent, world) order), that some skeleton of the frame has present.
     Skeleton i owns the segment of 2**(nprops * m_i) lanes from starts[i],
     where m_i is its own number of present pairs: lane starts[i] + v stands
-    for it under valuation v, whose bits _valuation_bit places.  A column holds one bit per lane of the current
-    pass.  A frame holds as many whole skeletons as fit in one pass of
-    2**_CHUNK_BITS lanes (see _pack), or one skeleton too wide for a pass,
-    which then spans several passes alone.
+    for it under valuation v, whose bits _valuation_bit places.  A column
+    holds one bit per lane of the current pass.  A frame holds as many
+    whole skeletons as fit in one pass of 2**_CHUNK_BITS lanes (see _pack),
+    or one skeleton too wide for a pass, which then spans several passes
+    alone.
 
     Presence is a property of each lane: absent[i] has the lanes whose
     skeleton lacks slot i.  A column is exact at every present (slot, lane)
