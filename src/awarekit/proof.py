@@ -220,7 +220,18 @@ class Registry:
             raise ValueError(f"theorem {name!r} is already registered")
         if not proof.is_theorem_mode:
             raise ValueError("only theorem-mode results can be registered")
-        conclusion = check(proof, self)
+        return self._store(name, schema, proof, check(proof, self), instance)
+
+    def _store(
+        self,
+        name: str,
+        schema: Formula,
+        proof: ProofScript,
+        conclusion: Formula,
+        instance: dict[str, Formula] | None = None,
+    ) -> TheoremEntry:
+        """register after its check: store a theorem under a new name, given
+        its checked theorem-mode proof and that proof's conclusion."""
         mvs = metavariables(schema)
         if mvs:
             if instance is None or set(instance) != mvs:
@@ -263,98 +274,105 @@ def check(script: ProofScript, registry: Registry | None = None) -> Formula:
     """
     if not script.lines:
         raise ProofError(None, "script", "a proof needs at least one line")
-    hyp_mode = not script.is_theorem_mode
+    for k in range(len(script.lines)):
+        _check_line(script, k, registry)
+    return script.lines[-1].formula
+
+
+def _check_line(script: ProofScript, k: int, registry: Registry | None) -> None:
+    """Verify line k of the script, given its earlier lines; raise ProofError
+    if it does not follow."""
     lines = script.lines
-
-    def earlier(k: int, i: int, rule: str):
-        if not 0 <= i < k:
-            raise ProofError(k, rule, f"reference to line {i + 1} is not strictly earlier")
-
-    for k, line in enumerate(lines):
-        just = line.justification
-        rule = _rule_name(just)
-        if hyp_mode and isinstance(just, (Nec, MonoD, MonoR)):
+    line = lines[k]
+    just = line.justification
+    rule = _rule_name(just)
+    hyp_mode = not script.is_theorem_mode
+    if hyp_mode and isinstance(just, (Nec, MonoD, MonoR)):
+        raise ProofError(
+            k,
+            rule,
+            "only modus ponens, axioms, hypotheses, and citations are "
+            "allowed when deriving from hypotheses",
+        )
+    if isinstance(just, Axiom):
+        if just.axiom is AxiomId.TAUT:
+            try:
+                holds = is_tautology(line.formula)
+            except ValueError as exc:  # too many abstraction variables
+                raise ProofError(k, rule, str(exc)) from None
+            if not holds:
+                raise ProofError(
+                    k, rule, f"{render(line.formula)} is not a propositional tautology"
+                )
+        else:
+            schema = AXIOM_SCHEMAS[just.axiom]
+            if match_schema(schema, line.formula) is None:
+                raise ProofError(
+                    k,
+                    rule,
+                    f"{render(line.formula)} is not an instance of {render(schema)}",
+                )
+    elif isinstance(just, Hyp):
+        if not hyp_mode:
+            raise ProofError(k, rule, "hypotheses are not available in theorem mode")
+        if not 0 <= just.index < len(script.hypotheses):
+            raise ProofError(k, rule, f"no hypothesis {just.index + 1}")
+        if script.hypotheses[just.index] != line.formula:
             raise ProofError(
                 k,
                 rule,
-                "only modus ponens, axioms, hypotheses, and citations are "
-                "allowed when deriving from hypotheses",
+                f"line states {render(line.formula)} but hypothesis "
+                f"{just.index + 1} is {render(script.hypotheses[just.index])}",
             )
-        if isinstance(just, Axiom):
-            if just.axiom is AxiomId.TAUT:
-                try:
-                    holds = is_tautology(line.formula)
-                except ValueError as exc:  # too many abstraction variables
-                    raise ProofError(k, rule, str(exc)) from None
-                if not holds:
-                    raise ProofError(
-                        k, rule, f"{render(line.formula)} is not a propositional tautology"
-                    )
-            else:
-                schema = AXIOM_SCHEMAS[just.axiom]
-                if match_schema(schema, line.formula) is None:
-                    raise ProofError(
-                        k,
-                        rule,
-                        f"{render(line.formula)} is not an instance of {render(schema)}",
-                    )
-        elif isinstance(just, Hyp):
-            if not hyp_mode:
-                raise ProofError(k, rule, "hypotheses are not available in theorem mode")
-            if not 0 <= just.index < len(script.hypotheses):
-                raise ProofError(k, rule, f"no hypothesis {just.index + 1}")
-            if script.hypotheses[just.index] != line.formula:
-                raise ProofError(
-                    k,
-                    rule,
-                    f"line states {render(line.formula)} but hypothesis "
-                    f"{just.index + 1} is {render(script.hypotheses[just.index])}",
-                )
-        elif isinstance(just, MP):
-            earlier(k, just.antecedent, rule)
-            earlier(k, just.implication, rule)
-            imp = lines[just.implication].formula
-            want = Implies(lines[just.antecedent].formula, line.formula)
-            if imp != want:
-                raise ProofError(
-                    k,
-                    rule,
-                    f"line {just.implication + 1} is {render(imp)}, expected {render(want)}",
-                )
-        elif isinstance(just, Nec):
-            earlier(k, just.source, rule)
-            if line.formula != Know(lines[just.source].formula):
-                raise ProofError(
-                    k,
-                    rule,
-                    f"expected K applied to line {just.source + 1}",
-                )
-        elif isinstance(just, (MonoD, MonoR)):
-            earlier(k, just.source, rule)
-            src = lines[just.source].formula
-            if not isinstance(src, Implies):
-                raise ProofError(k, rule, f"line {just.source + 1} is not an implication")
-            wrap = _MONO_WRAP[type(just)]
-            want = Implies(wrap(src.left), wrap(src.right))
-            if line.formula != want:
-                raise ProofError(k, rule, f"expected {render(want)}")
-        elif isinstance(just, Cite):
-            if registry is None or just.name not in registry:
-                raise ProofError(k, rule, f"theorem {just.name!r} is not registered")
-            entry = registry.get(just.name)
-            try:
-                concrete = instantiate(entry.schema, just.substitution)
-            except UnboundMetavariableError as exc:
-                raise ProofError(k, rule, str(exc)) from None
-            if concrete != line.formula:
-                raise ProofError(
-                    k,
-                    rule,
-                    f"citation yields {render(concrete)}, line states {render(line.formula)}",
-                )
-        else:
-            raise ProofError(k, "?", f"unknown justification {just!r}")
-    return lines[-1].formula
+    elif isinstance(just, MP):
+        _earlier(k, just.antecedent, rule)
+        _earlier(k, just.implication, rule)
+        imp = lines[just.implication].formula
+        want = Implies(lines[just.antecedent].formula, line.formula)
+        if imp != want:
+            raise ProofError(
+                k,
+                rule,
+                f"line {just.implication + 1} is {render(imp)}, expected {render(want)}",
+            )
+    elif isinstance(just, Nec):
+        _earlier(k, just.source, rule)
+        if line.formula != Know(lines[just.source].formula):
+            raise ProofError(
+                k,
+                rule,
+                f"expected K applied to line {just.source + 1}",
+            )
+    elif isinstance(just, (MonoD, MonoR)):
+        _earlier(k, just.source, rule)
+        src = lines[just.source].formula
+        if not isinstance(src, Implies):
+            raise ProofError(k, rule, f"line {just.source + 1} is not an implication")
+        wrap = _MONO_WRAP[type(just)]
+        want = Implies(wrap(src.left), wrap(src.right))
+        if line.formula != want:
+            raise ProofError(k, rule, f"expected {render(want)}")
+    elif isinstance(just, Cite):
+        if registry is None or just.name not in registry:
+            raise ProofError(k, rule, f"theorem {just.name!r} is not registered")
+        entry = registry.get(just.name)
+        try:
+            concrete = instantiate(entry.schema, just.substitution)
+        except UnboundMetavariableError as exc:
+            raise ProofError(k, rule, str(exc)) from None
+        if concrete != line.formula:
+            raise ProofError(
+                k,
+                rule,
+                f"citation yields {render(concrete)}, line states {render(line.formula)}",
+            )
+    else:
+        raise ProofError(k, "?", f"unknown justification {just!r}")
+
+
+def _earlier(k: int, i: int, rule: str) -> None:
+    if not 0 <= i < k:
+        raise ProofError(k, rule, f"reference to line {i + 1} is not strictly earlier")
 
 
 # ---------- construction helper ----------
@@ -433,11 +451,18 @@ def deduction(
     lines and surviving hypotheses are weakened under phi, the discharged
     hypothesis becomes the tautology phi -> phi, and modus ponens steps are
     replayed through the composition tautology with two modus ponens
-    applications.  The output is re-checked before being returned.
+    applications.  The input is checked first, and the output is checked
+    before being returned.
     """
     if script.is_theorem_mode:
         raise ValueError("deduction applies to hypothesis-mode scripts")
     check(script, registry)
+    return _discharge(script, hyp_index, registry)
+
+
+def _discharge(script: ProofScript, hyp_index: int, registry: Registry | None) -> ProofScript:
+    """deduction's body, for a hypothesis-mode script that checks: the
+    output is checked, the input is not."""
     hyps = script.hypotheses
     if not 0 <= hyp_index < len(hyps):
         raise ValueError(f"no hypothesis at index {hyp_index}")
@@ -492,31 +517,31 @@ def lift_knowledge(script: ProofScript, registry: Registry) -> ProofScript:
     and the discharged proof plus one necessitation step, proving
     K (phi_1 -> ... -> psi), is registered under a content-derived name.
     The returned hypothesis-mode script cites it and peels one antecedent
-    per hypothesis with a distribution axiom and modus ponens.  Outputs are
-    re-checked before return.
+    per hypothesis with a distribution axiom and modus ponens.
+
+    Each line is checked once: the input, then each discharge's output,
+    the necessitation line added to the last of them, and the returned
+    script.  A script that checks in hypothesis mode with no hypotheses
+    checks in theorem mode, so the lines before the necessitation line
+    need no second check.
     """
     if script.is_theorem_mode:
         raise ValueError("lift_knowledge applies to hypothesis-mode scripts")
-    hyps = script.hypotheses
-    if not hyps:
-        check(script, registry)
-        b = _Builder(None, script.lines)
-        b.nec(len(script.lines) - 1)
-        out = b.script()
-        check(out, registry)
-        return out
-
-    # the first deduction checks the input script
+    check(script, registry)
     cur = script
+    hyps = script.hypotheses
     for i in range(len(hyps) - 1, -1, -1):
-        cur = deduction(cur, i, registry)
+        cur = _discharge(cur, i, registry)
     tb = _Builder(None, cur.lines)
     tb.nec(len(cur.lines) - 1)
     theorem = tb.script()
+    _check_line(theorem, len(theorem.lines) - 1, registry)
+    if not hyps:
+        return theorem
     conclusion = theorem.conclusion  # K (phi_1 -> (phi_2 -> ... -> psi))
     name = _lift_name(conclusion)
     if name not in registry:
-        registry.register(name, conclusion, theorem)
+        registry._store(name, conclusion, theorem, conclusion)
 
     ob = _Builder(tuple(Know(h) for h in hyps))
     acc = ob.add(conclusion, Cite(name))
@@ -798,7 +823,7 @@ def _parse_just(text: str, lineno: int, table: dict) -> Justification:
         return Axiom(_KEYWORD_TO_AXIOM[head])
     rule = _KEYWORD_TO_RULE.get(head)
     if rule is not None:
-        return rule(*(i - 1 for i in _ref(rest, len(rule.__match_args__), lineno, head)))
+        return rule(*_ref(rest, len(rule.__match_args__), lineno, head))
     if head == "cite":
         m = re.fullmatch(r"(\S+)(?:\s*\[(.*)\])?", rest.strip())
         if not m:
@@ -818,11 +843,16 @@ def _parse_just(text: str, lineno: int, table: dict) -> Justification:
     raise ProofFileError(lineno, f"unknown justification {head!r}")
 
 
-def _ref(rest: str, count: int, lineno: int, rule: str) -> tuple[int, ...]:
+def _ref(rest: str, count: int, lineno: int, rule: str) -> list[int]:
+    """The count line or hypothesis numbers of rest, each 1 or more, as
+    0-based indices."""
     parts = rest.split()
-    if len(parts) != count or not all(p.isdigit() and int(p) >= 1 for p in parts):
-        raise ProofFileError(lineno, f"{rule} takes {count} positive line number(s)")
-    return tuple(int(p) for p in parts)
+    # a decimal digit is one that int() reads; a superscript digit is not
+    if len(parts) == count and all(map(str.isdecimal, parts)):
+        indices = [int(p) - 1 for p in parts]
+        if min(indices) >= 0:
+            return indices
+    raise ProofFileError(lineno, f"{rule} takes {count} positive line number(s)")
 
 
 def format_proof(script: ProofScript, name: str | None = None) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 from ._record import Record, _set
 
@@ -132,20 +133,17 @@ class Formula(Record):
             return self._hash
         except AttributeError:
             pass
-        # a node waits on the stack until its formula fields are hashed
+        # a hashed node's formula fields are hashed, so the walk enters
+        # only unhashed nodes, and probes each once; a node waits under a
+        # None on the stack until its fields are hashed
         stack = [self]
         while stack:
-            node = stack[-1]
-            if hasattr(node, "_hash"):
-                stack.pop()
-                continue
-            values = node._values()
-            waiting = [v for v in values if isinstance(v, Formula) and not hasattr(v, "_hash")]
-            if waiting:
-                stack += waiting
-                continue
-            stack.pop()
-            _set(node, "_hash", hash((node.__class__, *values)))
+            node = stack.pop()
+            if node is None:
+                node = stack.pop()
+                _set(node, "_hash", hash((node.__class__, *node._values())))
+            elif not hasattr(node, "_hash"):
+                stack += (node, None, *children(node))
         return self._hash
 
 
@@ -301,10 +299,33 @@ _ATOM_EXPECTED = ("identifier", "'true'", "'false'", "'('", "'~'", "'K'", "'R'",
 _TOKEN_RE = re.compile(r"->|[~&|()]|[A-Za-z][A-Za-z0-9_]*|\S")
 _OPERATOR_TOKENS = frozenset(["->", "~", "&", "|", "(", ")"])
 _END = ""  # appended after the last token; no match is empty
+_SPACED_OPERATORS = [(op, f" {op} ") for op in _OPERATOR_TOKENS]
+
+# on a text of fewer characters findall is the faster tokenizer and the
+# group memo costs more than it saves, so parse uses neither _tokens nor
+# the memo there
+_LONG_TEXT = 64
+
+
+def _tokens(text: str) -> list[str]:
+    """The matches of _TOKEN_RE in text.  Where every token is an operator or
+    an identifier, str.split yields them once each operator is set apart by
+    spaces, at a third of findall's cost on long texts; a text with a
+    character that no rule accepts goes through findall."""
+    spaced = text
+    for op, apart in _SPACED_OPERATORS:
+        spaced = spaced.replace(op, apart)
+    toks = spaced.split()
+    for tok in set(toks).difference(_OPERATOR_TOKENS):
+        if not _IDENT_RE.fullmatch(tok):
+            return _TOKEN_RE.findall(text)
+    return toks
+
 
 # the parser recurses once per level of parentheses and loops over chains
 # of prefix operators and of ->, so only parentheses are bounded
 MAX_PAREN_DEPTH = 100
+_PAREN_STEP = {"(": 1, ")": -1}
 _PREFIX = {"~": Not, "K": Know, "R": DeRe, "D": DeDicto, "A": None}
 
 
@@ -340,10 +361,19 @@ def _leaf(table: dict, token: str) -> Formula | None:
     return node
 
 
-def _formula(toks: list[str], i: int, table: dict, depth: int) -> tuple[Formula, int]:
+def _formula(toks: list[str], i: int, table: dict, depth: int, levels: list[int]) -> tuple[Formula, int]:
     """The formula that starts at toks[i] inside depth open parentheses, and
     the index of the token after it, by precedence climbing: -> over | over
-    & over the prefix operators."""
+    & over the prefix operators.  levels[k] is the parenthesis level after
+    toks[k].
+
+    Where levels is not empty, a parenthesized group that parsed is entered
+    in table with its own depth of parentheses, keyed by its tokens up to
+    its closing parenthesis joined by spaces, which no leaf key starts
+    with.  A later equal group takes that node and skips its tokens where
+    the parentheses stay within MAX_PAREN_DEPTH, and is parsed anew
+    elsewhere, so an error is raised where a parse without the entry
+    raises it."""
     operands = []  # of ->, which folds from the right
     while True:
         disj = None
@@ -357,11 +387,31 @@ def _formula(toks: list[str], i: int, table: dict, depth: int) -> tuple[Formula,
                     i += 1
                     tok = toks[i]
                 if tok == "(":
-                    if depth == MAX_PAREN_DEPTH:
-                        raise _Stuck(i, (f"at most {MAX_PAREN_DEPTH} nested parentheses",))
-                    f, i = _formula(toks, i + 1, table, depth + 1)
-                    if toks[i] != ")":
-                        raise _Stuck(i, ("')'", "'->'", "'&'", "'|'"))
+                    hit = key = None
+                    if levels:
+                        # the closing parenthesis is the first later token
+                        # back at the level before this one; a text that
+                        # never closes it has none
+                        try:
+                            close = levels.index(levels[i] - 1, i + 1)
+                        except ValueError:
+                            pass
+                        else:
+                            key = " ".join(toks[i:close])
+                            hit = table.get(key)
+                    if hit is not None and depth + hit[1] <= MAX_PAREN_DEPTH:
+                        f, i = hit[0], close
+                    else:
+                        if depth == MAX_PAREN_DEPTH:
+                            raise _Stuck(i, (f"at most {MAX_PAREN_DEPTH} nested parentheses",))
+                        start = i
+                        f, i = _formula(toks, i + 1, table, depth + 1, levels)
+                        if toks[i] != ")":
+                            raise _Stuck(i, ("')'", "'->'", "'&'", "'|'"))
+                        if key is not None:
+                            # its own depth: the highest level inside it,
+                            # counted from the level before it
+                            table[key] = f, max(levels[start:i]) - levels[start] + 1
                 else:
                     f = table.get(tok) or _leaf(table, tok)
                     if f is None:
@@ -425,12 +475,19 @@ def parse(text: str, _table: dict | None = None) -> Formula:
 
     Equal subtrees of one result may be one shared object.  _table, when
     given, is the node table to build through, so that the results of the
-    calls sharing it share their equal subtrees too.
+    calls sharing it share their equal subtrees too.  A text of at least
+    _LONG_TEXT (64) characters reads each distinct parenthesized group once
+    per table, so an awareness tower, whose text doubles per level, costs
+    what its distinct groups cost beyond its tokenizing.
     """
-    toks = _TOKEN_RE.findall(text)
+    if len(text) < _LONG_TEXT:
+        toks, levels = _TOKEN_RE.findall(text), []
+    else:
+        toks = _tokens(text)
+        levels = list(accumulate(map(_PAREN_STEP.get, toks, repeat(0)))) if "(" in toks else []
     toks.append(_END)
     try:
-        f, i = _formula(toks, 0, {} if _table is None else _table, 0)
+        f, i = _formula(toks, 0, {} if _table is None else _table, 0, levels)
         if toks[i] != _END:
             raise _Stuck(i, ("end of input", "'->'", "'&'", "'|'"))
     except _Stuck as stuck:

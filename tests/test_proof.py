@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -449,6 +450,65 @@ class TestLiftKnowledge:
             lift_knowledge(script, Registry())
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("hyps", [(P,), (P, Q)])
+    def test_public_deduction_still_rejects_a_bad_input(self, hyps):
+        # lift_knowledge checks its input once and discharges without
+        # checking it again; deduction, called alone, checks it first
+        script = ProofScript(
+            (
+                ProofLine(parse("p -> p"), Axiom(AxiomId.TAUT)),
+                ProofLine(Q, MP(0, 0)),
+            ),
+            hyps,
+        )
+        with pytest.raises(ProofError) as want:
+            check(script, Registry())
+        with pytest.raises(ProofError) as got:
+            deduction(script, 0, Registry())
+        assert str(got.value) == str(want.value)
+
+    def test_each_line_of_a_lift_is_verified_once(self, monkeypatch):
+        from awarekit import proof
+
+        reg = default_registry()
+        script = random_mp_proof(random.Random(2026), n_hyps=3, steps=8, registry=reg)
+        # the length of each discharge's output, each hypothesis in turn
+        discharged, lengths = script, []
+        for i in range(2, -1, -1):
+            discharged = deduction(discharged, i, reg)
+            lengths.append(len(discharged.lines))
+
+        verified = []  # the lines, in the order they are verified
+        decided = []  # the formulas that is_tautology and match_schema decide
+        check_line = proof._check_line
+
+        def spy_line(script, k, registry):
+            verified.append(script.lines[k])
+            return check_line(script, k, registry)
+
+        def spy(real):
+            def wrapped(*args):
+                decided.append(args[-1])
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(proof, "_check_line", spy_line)
+        monkeypatch.setattr(proof, "is_tautology", spy(proof.is_tautology))
+        monkeypatch.setattr(proof, "match_schema", spy(proof.match_schema))
+        out = lift_knowledge(script, reg)
+        monkeypatch.undo()
+
+        assert set(Counter(map(id, verified)).values()) == {1}
+        # the input, each discharge's output, the necessitation line, and
+        # the output
+        assert len(verified) == len(script.lines) + sum(lengths) + 1 + len(out.lines)
+        theorem = reg.get(out.lines[0].justification.name).proof
+        assert {id(line) for line in script.lines + theorem.lines + out.lines} <= set(map(id, verified))
+        # each axiom line is decided once, when it is verified, and nothing else is
+        axioms = [line.formula for line in verified if isinstance(line.justification, Axiom)]
+        assert list(map(id, decided)) == list(map(id, axioms))
+
     def test_registered_name_is_stable_golden(self):
         # the name hashes the rendered conclusion with sha256
         reg = Registry()
@@ -720,6 +780,9 @@ class TestProofFiles:
             ("nec x", 1),
             ("monoD 1 2", 1),
             ("monoR 1 2", 1),
+            # digits that str.isdigit accepts and int() does not read
+            ("mp \u00b2 1", 2),
+            ("nec \u00b9", 1),
         ],
         ids=lambda v: str(v).replace(" ", "_"),
     )

@@ -32,7 +32,8 @@ from awarekit.syntax import (
     rendered_length,
     subformula_closure,
 )
-from awarekit.syntax import _program, _same_trees
+from awarekit.proof import ProofFileError, parse_proof
+from awarekit.syntax import _LONG_TEXT, _program, _same_trees
 
 from conftest import formulas
 
@@ -198,6 +199,100 @@ class TestParse:
         assert parse("K (p -> q) & true", _table=table) is f
         h = parse("K (p -> q) & true")
         assert h == f and h is not f and h.left.child is not g.left
+
+    # the group memo: a text of at least _LONG_TEXT characters enters each
+    # parenthesized group that parsed in the node table, and an equal group
+    # later takes its node where the parentheses stay within the bound
+
+    DEEP_GROUP = "(" * 60 + "p" + ")" * 60
+    PAST_THE_BOUND = (101, ("at most 100 nested parentheses",), "'('")
+
+    def test_a_group_repeated_past_the_bound_raises_as_before(self):
+        wrapped = "(" * 50 + self.DEEP_GROUP + ")" * 50
+        assert len(self.DEEP_GROUP) >= _LONG_TEXT
+        table = {}
+        assert parse(self.DEEP_GROUP, _table=table) == P
+        for text, offset in [
+            (wrapped, 101),
+            # the first copy is entered at level 0, the second sits at 50
+            (self.DEEP_GROUP + " & " + wrapped, 124 + 101),
+        ]:
+            for kwargs in ({}, {"_table": table}):
+                with pytest.raises(ParseError) as exc:
+                    parse(text, **kwargs)
+                assert (exc.value.offset, exc.value.expected, exc.value.found) == (
+                    offset,
+                    *self.PAST_THE_BOUND[1:],
+                )
+        # within the bound the entry serves
+        assert parse("(" * 40 + self.DEEP_GROUP + ")" * 40, _table=table) == P
+
+    def test_a_proof_file_repeating_a_group_past_the_bound_raises_as_before(self):
+        wrapped = "(" * 50 + self.DEEP_GROUP + ")" * 50
+        text = f"theorem t\n1: {self.DEEP_GROUP} -> {self.DEEP_GROUP} by taut\n2: {wrapped} by taut\n"
+        with pytest.raises(ProofFileError) as exc:
+            parse_proof(text)
+        offset, expected, found = self.PAST_THE_BOUND
+        assert exc.value.lineno == 3
+        assert exc.value.reason == (
+            f"bad formula: syntax error at offset {offset}: expected {expected[0]}, found {found}"
+        )
+
+    def test_a_group_that_failed_is_never_reused(self):
+        bad = "(p -> q q)"
+        text = f"{bad} & (p -> q) & (p -> q) & (p -> q) & (p -> q) & (p -> q)"
+        assert len(text) >= _LONG_TEXT
+        table = {}
+        for _ in range(2):
+            with pytest.raises(ParseError) as exc:
+                parse(text, _table=table)
+            assert (exc.value.offset, exc.value.found) == (9, "'q'")
+        # the same group at another offset fails there too
+        with pytest.raises(ParseError) as exc:
+            parse("(p -> q) & " * 5 + bad, _table=table)
+        assert (exc.value.offset, exc.value.found) == (64, "'q'")
+        # a group that parsed inside the one that failed serves later texts
+        with pytest.raises(ParseError):
+            parse("((p -> q) & (q -> p) & (p & q | ~p) r) | (p -> q) & (q -> p) & (p -> q)", _table=table)
+        assert parse(
+            "(p -> q) & (q -> p) & (p & q | ~p) -> ((p -> q) & (q -> p) & (p & q | ~p))", _table=table
+        ) == parse("(p -> q) & (q -> p) & (p & q | ~p) -> ((p -> q) & (q -> p) & (p & q | ~p))")
+
+    def test_groups_that_differ_only_in_their_last_token(self):
+        text = "(p -> q) & (p -> r) | (K p -> q) & (K p -> r) | ((p -> q)) & ((p -> r))"
+        assert len(text) >= _LONG_TEXT
+        a, b = Implies(P, Q), Implies(P, Atom("r"))
+        ka, kb = Implies(Know(P), Q), Implies(Know(P), Atom("r"))
+        assert parse(text) == Or(Or(And(a, b), And(ka, kb)), And(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(formulas(max_depth=3), min_size=1, max_size=3),
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from([" -> ", " & ", " | "])),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_a_shared_table_gives_the_trees_of_a_fresh_one(self, groups, layouts):
+        # each text repeats the groups, each in 1 to 4 parentheses, and
+        # doubles until the memo applies to it
+        texts = []
+        for layout in layouts:
+            pieces = []
+            for which, parens, link in layout:
+                pieces += [link, "(" * (parens + 1), render(groups[which % len(groups)]), ")" * (parens + 1)]
+            text = "".join(pieces[1:])
+            while len(text) < _LONG_TEXT:
+                text = f"({text}) & {text}"
+            texts.append(text)
+        table = {}
+        for text in texts + texts:
+            assert parse(text, _table=table) == parse(text)
 
 
 class TestRender:

@@ -31,6 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SEARCH_TESTS = ("tests/test_search.py",)
 CHECKER_TESTS = ("tests/test_checker.py",)
+SYNTAX_TESTS = ("tests/test_syntax.py",)
+PROOF_TESTS = ("tests/test_proof.py",)
 
 # (name, description, file under src/awarekit, old text, new text, test files)
 MUTANTS = [
@@ -153,6 +155,38 @@ MUTANTS = [
         "        sk, index = self.skeletons[i], lane - self.starts[i]",
         "        sk, index = self.skeletons[i], lane - self.starts[i] - 1",
         SEARCH_TESTS,
+    ),
+    (
+        "memo-ignores-depth",
+        "the parser's group memo serves a group however deep it then sits",
+        "syntax.py",
+        "                    if hit is not None and depth + hit[1] <= MAX_PAREN_DEPTH:",
+        "                    if hit is not None:",
+        SYNTAX_TESTS,
+    ),
+    (
+        "memo-key-drops-last-token",
+        "the parser's group memo keys a group without its last token",
+        "syntax.py",
+        '                            key = " ".join(toks[i:close])',
+        '                            key = " ".join(toks[i : close - 1])',
+        SYNTAX_TESTS,
+    ),
+    (
+        "lift-skips-input-check",
+        "lift_knowledge does not check its input script",
+        "proof.py",
+        '        raise ValueError("lift_knowledge applies to hypothesis-mode scripts")\n    check(script, registry)\n',
+        '        raise ValueError("lift_knowledge applies to hypothesis-mode scripts")\n',
+        PROOF_TESTS,
+    ),
+    (
+        "lift-nec-unchecked",
+        "lift_knowledge stores its theorem without checking the necessitation line",
+        "proof.py",
+        "    _check_line(theorem, len(theorem.lines) - 1, registry)\n",
+        "",
+        PROOF_TESTS,
     ),
 ]
 
