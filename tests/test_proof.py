@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from awarekit.proof import (
     ProofLine,
     ProofScript,
     Registry,
+    _discharge,
     builtin,
     check,
     deduction,
@@ -28,8 +30,19 @@ from awarekit.proof import (
     lift_knowledge,
     parse_proof,
 )
-from awarekit.search import random_formula
-from awarekit.syntax import Atom, Implies, Know, _program, parse, render
+from awarekit.search import ValidUpToBounds, decide_bounded, random_formula
+from awarekit.syntax import (
+    Atom,
+    DeDicto,
+    DeRe,
+    Implies,
+    Know,
+    _program,
+    instantiate,
+    metavariables,
+    parse,
+    render,
+)
 
 from conftest import PROOFS, REPO
 
@@ -157,6 +170,56 @@ def random_theorem_proof(rng, steps=8):
 
 
 NON_TAUT_IDS = tuple(ax for ax in AxiomId if ax is not AxiomId.TAUT)
+TAUT_SCHEMAS = tuple(
+    parse(text)
+    for text in (
+        "PHI -> PHI",
+        "PHI -> PSI -> PHI",
+        "(PHI -> PSI -> CHI) -> (PHI -> PSI) -> PHI -> CHI",
+        "~~PHI -> PHI",
+        "PHI | ~PHI",
+    )
+)
+
+
+def random_candidate(rng, lines):
+    """A random theorem-mode line to follow lines, which check mostly rejects.
+
+    A tautology instance or a random formula by taut; an axiom instance,
+    half the time claimed as a random axiom; or mp, nec, monoD or monoR with
+    random line references, to this line itself one time in four, stating
+    what the rule would give from the referenced lines.
+    """
+    k = len(lines)
+
+    def formula():
+        return random_formula(rng, ("p", "q"), rng.choice((1, 2)))
+
+    def instance(schema):
+        return instantiate(schema, {mv: formula() for mv in sorted(metavariables(schema))})
+
+    def ref():  # this line itself one time in four
+        i = k if not k or rng.random() < 0.25 else rng.randrange(k)
+        return i, (lines[i].formula if i < k else formula())
+
+    move = rng.choice(("taut", "axiom", "mp", "mp", "nec", "monoD", "monoR"))
+    if move == "taut":
+        schema = rng.choice(TAUT_SCHEMAS + (None,))
+        return ProofLine(formula() if schema is None else instance(schema), Axiom(AxiomId.TAUT))
+    if move == "axiom":
+        ax = rng.choice(NON_TAUT_IDS)
+        claimed = ax if rng.random() < 0.5 else rng.choice(NON_TAUT_IDS)
+        return ProofLine(instance(AXIOM_SCHEMAS[ax]), Axiom(claimed))
+    if move == "mp":
+        (i, _), (j, imp) = ref(), ref()
+        return ProofLine(imp.right if isinstance(imp, Implies) else formula(), MP(i, j))
+    i, src = ref()
+    if move == "nec":
+        return ProofLine(Know(src), Nec(i))
+    rule, wrap = (MonoD, DeDicto) if move == "monoD" else (MonoR, DeRe)
+    if not isinstance(src, Implies):
+        return ProofLine(formula(), rule(i))
+    return ProofLine(Implies(wrap(src.left), wrap(src.right)), rule(i))
 
 
 class TestProofSoundness:
@@ -171,6 +234,31 @@ class TestProofSoundness:
             conclusion = check(script)
             for m in models:
                 assert valid_in_model(m, conclusion)
+
+    def test_whatever_check_accepts_is_valid_up_to_bounds(self):
+        # the soundness theorem as a property: scripts grow by random
+        # candidate lines, and each candidate that check accepts ends a
+        # script check accepts, so its formula holds in every model of the
+        # (2,2) bounds
+        rng = random.Random(31415)
+        bounds = Bounds(2, 2, ("p", "q"))
+        verdicts = {}
+        accepted = rejected = 0
+        for _ in range(200):
+            lines = []
+            for _ in range(12):
+                script = ProofScript((*lines, random_candidate(rng, lines)), None)
+                try:
+                    conclusion = check(script)
+                except ProofError:
+                    rejected += 1
+                    continue
+                accepted += 1
+                lines = script.lines
+                if conclusion not in verdicts:
+                    verdicts[conclusion] = decide_bounded(conclusion, bounds)
+                assert isinstance(verdicts[conclusion], ValidUpToBounds), format_proof(script)
+        assert accepted >= 500 and rejected >= 1000
 
     def test_hypothesis_mode_is_locally_sound(self):
         # wherever all hypotheses hold, the conclusion holds
@@ -233,6 +321,29 @@ class TestCheck:
         with pytest.raises(ProofError) as exc:
             check(script)
         assert "strictly earlier" in exc.value.reason
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("1: p -> p by taut\n2: p by mp 2 1", "line 2: mp: reference to line 2 is not strictly earlier"),
+            ("1: p -> p by taut\n2: p by mp 1 2", "line 2: mp: reference to line 2 is not strictly earlier"),
+            ("1: p -> p by taut\n2: K (p -> p) by nec 2", "line 2: nec: reference to line 2 is not strictly earlier"),
+            ("1: p -> p by taut\n2: D p -> D p by monoD 2", "line 2: monoD: reference to line 2 is not strictly earlier"),
+            ("1: p -> p by taut\n2: R p -> R p by monoR 2", "line 2: monoR: reference to line 2 is not strictly earlier"),
+            (
+                "1: p -> p by taut\n2: q -> q by taut\n3: p by mp 2 1",
+                "line 3: mp: line 1 is p -> p, expected (q -> q) -> p",
+            ),
+        ],
+        ids=["mp-antecedent-self", "mp-implication-self", "nec-self", "monoD-self", "monoR-self", "mp-other-antecedent"],
+    )
+    def test_unsound_step_rejected(self, lines, message):
+        # a rule cites only earlier lines, and mp only an antecedent equal to
+        # the implication's left side; accepted, the first and last would prove p
+        _, script = parse_proof(f"theorem t\n{lines}\n")
+        with pytest.raises(ProofError) as exc:
+            check(script)
+        assert str(exc.value) == message
 
     def test_bad_taut_rejected(self):
         script = ProofScript((ProofLine(parse("K p -> p"), Axiom(AxiomId.TAUT)),), None)
@@ -377,6 +488,21 @@ class TestBuiltins:
                 assert valid_in_model(m, s.conclusion)
 
 
+def atom_hypotheses_script(n):
+    """p0 from the atom hypotheses p0 .. p(n-1), in five lines: two hyp, one
+    taut and two mp."""
+    hyps = tuple(Atom(f"p{i}") for i in range(n))
+    p0, p1 = hyps[:2]
+    lines = (
+        ProofLine(p0, Hyp(0)),
+        ProofLine(p1, Hyp(1)),
+        ProofLine(Implies(p0, Implies(p1, p0)), Axiom(AxiomId.TAUT)),
+        ProofLine(Implies(p1, p0), MP(0, 2)),
+        ProofLine(p0, MP(1, 3)),
+    )
+    return ProofScript(lines, hyps)
+
+
 class TestDeduction:
     def test_identity_case(self):
         script = ProofScript((ProofLine(P, Hyp(0)),), (P,))
@@ -394,6 +520,14 @@ class TestDeduction:
         script = ProofScript((ProofLine(parse("p -> p"), Axiom(AxiomId.TAUT)),), None)
         with pytest.raises(ValueError):
             deduction(script, 0)
+
+    def test_discharging_some_hypotheses_keeps_the_rest_in_order(self):
+        reg = default_registry()
+        script = random_mp_proof(random.Random(77), n_hyps=3, registry=reg)
+        phi0, phi1, phi2 = script.hypotheses
+        out = _discharge(script, (0, 2), reg)
+        assert out.hypotheses == (phi1,)
+        assert check(out, reg) == Implies(phi0, Implies(phi2, script.conclusion))
 
     def test_round_trip_random_proofs(self):
         rng = random.Random(99)
@@ -472,11 +606,8 @@ class TestLiftKnowledge:
 
         reg = default_registry()
         script = random_mp_proof(random.Random(2026), n_hyps=3, steps=8, registry=reg)
-        # the length of each discharge's output, each hypothesis in turn
-        discharged, lengths = script, []
-        for i in range(2, -1, -1):
-            discharged = deduction(discharged, i, reg)
-            lengths.append(len(discharged.lines))
+        # one discharge of all three hypotheses
+        discharged = _discharge(script, (0, 1, 2), reg)
 
         verified = []  # the lines, in the order they are verified
         decided = []  # the formulas that is_tautology and match_schema decide
@@ -500,9 +631,9 @@ class TestLiftKnowledge:
         monkeypatch.undo()
 
         assert set(Counter(map(id, verified)).values()) == {1}
-        # the input, each discharge's output, the necessitation line, and
-        # the output
-        assert len(verified) == len(script.lines) + sum(lengths) + 1 + len(out.lines)
+        # the input, the discharge's output, the necessitation line, and the
+        # output
+        assert len(verified) == len(script.lines) + len(discharged.lines) + 1 + len(out.lines)
         theorem = reg.get(out.lines[0].justification.name).proof
         assert {id(line) for line in script.lines + theorem.lines + out.lines} <= set(map(id, verified))
         # each axiom line is decided once, when it is verified, and nothing else is
@@ -525,9 +656,7 @@ class TestLiftKnowledge:
         rng = random.Random(170 + n)
         reg = default_registry()
         script = random_mp_proof(rng, n_hyps=n, registry=reg)
-        discharged = script
-        for i in range(n - 1, -1, -1):
-            discharged = deduction(discharged, i, reg)
+        discharged = _discharge(script, tuple(range(n)), reg)
         out = lift_knowledge(script, reg)
         assert len(out.lines) == 1 + 4 * n
         assert Axiom(AxiomId.TAUT) not in [line.justification for line in out.lines]
@@ -546,6 +675,33 @@ class TestLiftKnowledge:
             assert hyp == ProofLine(Know(script.hypotheses[i]), Hyp(i))
             assert kept.justification == MP(3 + 4 * i, 2 + 4 * i)
         assert check(out, reg) == Know(script.conclusion)
+
+    def test_registered_proof_is_linear_in_the_script(self):
+        script = atom_hypotheses_script(4)
+        reg = Registry()
+        out = lift_knowledge(script, reg)
+        assert len(reg.get(out.lines[0].justification.name).proof.lines) <= 3 * len(script.lines) + 1
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_many_hypotheses_lift_quickly(self, n):
+        script = atom_hypotheses_script(n)
+        reg = Registry()
+        start = time.perf_counter()
+        out = lift_knowledge(script, reg)
+        assert time.perf_counter() - start < 1.0
+        assert out.conclusion == Know(script.conclusion)
+        assert out.hypotheses == tuple(Know(h) for h in script.hypotheses)
+        assert check(out, reg) == Know(script.conclusion)
+
+    def test_over_twenty_hypothesis_atoms_is_a_proof_error(self):
+        # each discharge tautology holds every hypothesis
+        script = atom_hypotheses_script(21)
+        start = time.perf_counter()
+        with pytest.raises(ProofError) as exc:
+            lift_knowledge(script, Registry())
+        assert time.perf_counter() - start < 1.0
+        assert (exc.value.line_index, exc.value.rule) == (0, "taut")
+        assert exc.value.reason == "boolean abstraction has 21 variables; at most 20 are supported"
 
     def test_an_implication_conclusion_stays_whole(self):
         # q -> p from p: one antecedent is peeled, not two

@@ -188,6 +188,46 @@ MUTANTS = [
         "",
         PROOF_TESTS,
     ),
+    (
+        "earlier-allows-self",
+        "a rule may cite the line it justifies",
+        "proof.py",
+        "    if not 0 <= i < k:\n",
+        "    if not 0 <= i <= k:\n",
+        PROOF_TESTS,
+    ),
+    (
+        "mp-ignores-antecedent",
+        "modus ponens does not compare its antecedent line with the implication",
+        "proof.py",
+        "        want = Implies(lines[just.antecedent].formula, line.formula)",
+        "        want = Implies(imp.left, line.formula)",
+        PROOF_TESTS,
+    ),
+    (
+        "discharge-order-reversed",
+        "the discharge nests the hypotheses it discharges last first",
+        "proof.py",
+        "        for phi in reversed(phis):",
+        "        for phi in phis:",
+        PROOF_TESTS,
+    ),
+    (
+        "discharge-composition-swapped",
+        "the discharge's composition tautology takes its two antecedents swapped",
+        "proof.py",
+        "            t = b.taut(Implies(b.formula(i), Implies(b.formula(j), under(psi))))",
+        "            t = b.taut(Implies(b.formula(j), Implies(b.formula(i), under(psi))))",
+        PROOF_TESTS,
+    ),
+    (
+        "discharge-weakening-backwards",
+        "the discharge weakens a line through H(f) -> f, not f -> H(f)",
+        "proof.py",
+        "            mapped[k] = b.mp(t, b.taut(Implies(psi, under(psi))))",
+        "            mapped[k] = b.mp(t, b.taut(Implies(under(psi), psi)))",
+        PROOF_TESTS,
+    ),
 ]
 
 
