@@ -9,7 +9,8 @@ valuation) of one world count and agent count, whatever their presence,
 and evaluates a formula over all of them under all valuations at once:
 each pair present in some skeleton gets one integer column, whose bits,
 the lanes, say "true in this skeleton under this valuation", skeleton by
-skeleton, each over a segment as long as its own valuations.
+skeleton, each over a segment as long as its own valuations.  K, and D
+through K's table, fold over one table of the frame's blocks, R another.
 ``ModelEvaluator`` runs a concrete model as a frame of one skeleton under
 its one valuation: a column of one formula is a single bit, and the
 instances of a schema run as the lanes of one column, lane j for
@@ -132,12 +133,6 @@ def satisfies_naive(m: EpistemicModel, pt: Point, f: Formula) -> bool:
 
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-# a block as (member slots, the inhabitant group of each of its worlds,
-# (member slot, its R witness slots) pairs), all under the presence of the
-# skeletons that use it
-_Block = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
-
-
 def _valuation_bit(nprops: int, p: int, m: int, k: int) -> int:
     """The bit of a skeleton's valuation index that gives proposition p
     at the k-th of its m present pairs (pair-bit order): the first
@@ -151,27 +146,28 @@ class _Frame:
     shape, whatever their presence masks.
 
     Slot i is the i-th pair, in ascending pair-bit order (agent-major
-    (agent, world) order), that some skeleton of the frame has present.
-    Skeleton i owns the segment of 2**(nprops * m_i) lanes from starts[i],
-    where m_i is its own number of present pairs: lane starts[i] + v stands
-    for it under valuation v, whose bits _valuation_bit places.  A column
-    holds one bit per lane of the current pass.  A frame holds as many
-    whole skeletons as fit in one pass of 2**_CHUNK_BITS lanes (see _pack),
-    or one skeleton too wide for a pass, which then spans several passes
-    alone.
+    (agent, world) order), that some skeleton of the frame has present, and
+    worlds[u] holds the slots at world u.  Skeleton i owns the segment of
+    2**(nprops * m_i) lanes from starts[i], where m_i is its own number of
+    present pairs: lane starts[i] + v stands for it under valuation v,
+    whose bits _valuation_bit places.  A column holds one bit per lane of
+    the current pass.  A frame holds as many whole skeletons as fit in one
+    pass of 2**_CHUNK_BITS lanes (see _pack), or one skeleton too wide for
+    a pass, which then spans several passes alone.
 
     Presence is a property of each lane: absent[i] has the lanes whose
     skeleton lacks slot i.  A column is exact at every present (slot, lane)
     and may hold anything at an absent one, and nothing reads it there.
-    Construction finds every block some skeleton uses, under that
-    skeleton's presence: the block's member slots, the inhabitant group of
-    each of its worlds (world_slots[g] holds the slots of the agents present
-    at such a world) and, per member, the slots of the agents able to
-    witness an R step there, whose rows cover the block.  Blocks equal in
-    all three are one entry, and lanes[b] has the lanes of the skeletons
-    that use block b.  In a frame of one skeleton every mask is -1, all
-    lanes: that cuts nothing, which is sound because a block is never empty
-    and every column lies within full.
+    Construction files every block some skeleton uses, under that
+    skeleton's presence, in two tables: know has one entry per distinct
+    tuple of member slots, dere one per distinct (member slot, R
+    candidates) pair.  R reads dere; K reads know, and so does D, through
+    one inhabited column per world.  An entry's mask is the OR of the lanes
+    of the skeletons whose blocks share it, and equal masks are one
+    integer; a node cuts its result to the mask, so (x & m1) | (x & m2) ==
+    x & (m1 | m2) makes the sharing sound.  In a frame of one skeleton every
+    mask is -1, all lanes: that cuts nothing, which is sound because a
+    block is never empty and every column lies within full.
 
     None of this depends on the formula, and neither do the atom columns
     of a frame of several skeletons, which construction builds as well; a
@@ -179,7 +175,7 @@ class _Frame:
     from the shared counting patterns at each pass.
     """
 
-    __slots__ = ("skeletons", "starts", "size", "pairs", "m", "world_slots", "blocks", "lanes", "absent", "_atoms")
+    __slots__ = ("skeletons", "starts", "size", "pairs", "m", "worlds", "know", "dere", "absent", "_atoms")
 
     def __init__(self, skeletons: Sequence[_Skeleton], nprops: int):
         self.skeletons = skeletons = tuple(skeletons)
@@ -192,56 +188,56 @@ class _Frame:
         self.starts, self.size = tuple(starts), size
         self.pairs = tuple([t for t in range(union.bit_length()) if union >> t & 1])
         self.m = m = len(self.pairs)
+        self.worlds = tuple([tuple([i for i, t in enumerate(self.pairs) if t % W == u]) for u in range(W)])
         slot_of = {t: i for i, t in enumerate(self.pairs)}
-        groups: dict[tuple[int, ...], int] = {}  # inhabitant slots -> group
-        blocks: dict[_Block, int] = {}
-        parts: dict[tuple, tuple[int, ...]] = {}  # (presence, agent, partition) -> its blocks
-        uses: list[tuple[int, ...]] = []  # per skeleton: the blocks it uses
+        # each table: key -> [first, end, ...] lane spans of its skeletons, consecutive ones merged
+        know: dict[tuple[int, ...], list[int]] = {}
+        dere: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        parts: dict[tuple, list[list[int]]] = {}  # (presence, agent, partition) -> spans of its entries
         runs: list[int] = []  # the first skeleton of each run of one presence mask
+        ends = (*starts, size)
         mask = None
         for i, sk in enumerate(skeletons):
             if sk.presence_mask != mask:
                 runs.append(i)
                 mask = sk.presence_mask
                 rows = [mask >> a * W & ((1 << W) - 1) for a in range(A)]
-                group_of: dict[int, int] = {}  # world -> its inhabitant group
-            used: tuple[int, ...] = ()
+            lo, hi = ends[i], ends[i + 1]
             for a, part in enumerate(sk.partitions):
                 key = (mask, a, part)
                 got = parts.get(key)
                 if got is None:
-                    got = []
+                    got = parts[key] = []
                     for blk in part:
-                        cover = 0
-                        for u in blk:
-                            cover |= 1 << u
+                        cover = sum([1 << u for u in blk])
                         slots = tuple([slot_of[a * W + u] for u in blk])
-                        inhabited, reach = [], []
+                        got.append(know.setdefault(slots, []))
                         for s, u in zip(slots, blk):
-                            g = group_of.get(u)
-                            if g is None:
-                                here = tuple([slot_of[c * W + u] for c in range(A) if rows[c] >> u & 1])
-                                g = group_of[u] = groups.setdefault(here, len(groups))
-                            inhabited.append(g)
-                            reach.append((s, tuple([slot_of[c * W + u] for c in range(A) if rows[c] & cover == cover])))
-                        got.append(blocks.setdefault((slots, tuple(inhabited), tuple(reach)), len(blocks)))
-                    got = parts[key] = tuple(got)
-                used += got
-            uses.append(used)
-        self.world_slots = tuple(groups)
-        self.blocks = tuple(blocks)
+                            cands = tuple([slot_of[c * W + u] for c in range(A) if rows[c] & cover == cover])
+                            got.append(dere.setdefault((s, cands), []))
+                for spans in got:
+                    if spans and spans[-1] == lo:
+                        spans[-1] = hi
+                    else:
+                        spans += (lo, hi)
         self._atoms: list[list[int]] | None = None
         if len(skeletons) == 1:
-            self.lanes = (-1,) * len(blocks)
+            self.know = tuple([(slots, -1) for slots in know])
+            self.dere = tuple([(s, cands, -1) for s, cands in dere])
             self.absent = (0,) * m
             return
-        ends = (*starts, size)
-        lanes = [0] * len(blocks)
-        for i, used in enumerate(uses):
-            span = ((1 << (ends[i + 1] - ends[i])) - 1) << ends[i]
-            for b in used:
-                lanes[b] |= span
-        self.lanes = tuple(lanes)
+        shared: dict[tuple[int, ...], int] = {}  # spans -> their mask: equal masks are one integer
+
+        def lanes(spans: list[int]) -> int:
+            if (key := tuple(spans)) not in shared:
+                out = 0
+                for first, end in zip(spans[::2], spans[1::2]):
+                    out |= ((1 << end - first) - 1) << first
+                shared[key] = out
+            return shared[key]
+
+        self.know = tuple([(slots, lanes(spans)) for slots, spans in know.items()])
+        self.dere = tuple([(s, cands, lanes(spans)) for (s, cands), spans in dere.items()])
         # atoms[j][i] is proposition j at slot i, built per run of
         # skeletons with one presence mask from counting patterns, whose
         # periods divide every segment of the run
@@ -293,9 +289,10 @@ class _Frame:
         return sk, tuple([_scatter(index >> t & ((1 << m) - 1), pairs) for t in firsts])
 
     def nbytes(self) -> int:
-        """Bytes of the frame's lane masks, absent masks and atom columns:
-        what it holds in proportion to its lanes."""
-        return sum(map(sys.getsizeof, chain(self.lanes, self.absent, *self._atoms or ())))
+        """Bytes of the frame's lane masks, each shared one once, absent
+        masks and atom columns: what it holds in proportion to its lanes."""
+        masks = {id(e[-1]): e[-1] for e in chain(self.know, self.dere)}
+        return sum(map(sys.getsizeof, chain(masks.values(), self.absent, *self._atoms or ())))
 
     def columns(
         self,
@@ -314,7 +311,17 @@ class _Frame:
         """
         m = self.m
         zero = [0] * m
-        blocks, lanes = self.blocks, self.lanes
+        cut: list[int] = []  # per slot, the lanes where it is present, once a D needs it
+
+        # K's fold, which D shares: AND over each know entry's slots, cut, OR into them
+        def fold(col: list[int]) -> list[int]:
+            out = [0] * m
+            for slots, acc in self.know:
+                for s in slots:
+                    acc &= col[s]
+                for s in slots:
+                    out[s] |= acc
+            return out
 
         def ev(node: Formula) -> list[int]:
             got = memo.get(id(node))
@@ -337,39 +344,32 @@ class _Frame:
             elif kind is Or:
                 left, right = ev(node.left), ev(node.right)
                 out = [l | r for l, r in zip(left, right)]
-            # K, R and D combine the child over each block, cut the result
-            # to the block's lanes and OR it into the block's member slots
             elif kind is Know:
-                child = ev(node.child)
-                out = [0] * m
-                for (slots, _, _), acc in zip(blocks, lanes):
-                    for s in slots:
-                        acc &= child[s]
-                    for s in slots:
-                        out[s] |= acc
+                out = fold(ev(node.child))
             elif kind is DeRe:
                 child = ev(node.child)
                 out = [0] * m
-                for (_, _, reach), mask in zip(blocks, lanes):
-                    for s, cands in reach:
-                        acc = 0
-                        for c in cands:
-                            acc |= child[c]
-                        out[s] |= acc & mask
+                for s, cands, mask in self.dere:
+                    acc = 0
+                    for c in cands:
+                        acc |= child[c]
+                    out[s] |= acc & mask
             elif kind is DeDicto:
+                # K over each slot's world's inhabited column: the child ORed over
+                # the world's slots, each cut to the lanes where it is present
                 child = ev(node.child)
-                inhabited = []
-                for slots in self.world_slots:
+                if len(self.skeletons) > 1:
+                    if not cut:
+                        cut.extend([full ^ gap for gap in self.absent])
+                    child = [c & here for c, here in zip(child, cut)]
+                inhabited = [0] * m
+                for slots in self.worlds:
                     acc = 0
                     for s in slots:
                         acc |= child[s]
-                    inhabited.append(acc)
-                out = [0] * m
-                for (slots, groups, _), acc in zip(blocks, lanes):
-                    for g in groups:
-                        acc &= inhabited[g]
                     for s in slots:
-                        out[s] |= acc
+                        inhabited[s] = acc
+                out = fold(inhabited)
             elif kind is MetaVar:
                 raise ValueError(f"cannot evaluate a schema; metavariable {node.name} is unbound")
             else:

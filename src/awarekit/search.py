@@ -36,27 +36,27 @@ pair its skeleton has.  The witness point is the lowest failing pair in
 agent-major order, and it is re-verified against the reference checker
 before it leaves this module.
 
-The canonical frames, their blocks and lane masks, and the atom columns
-of each frame that packs several skeletons depend on the shape, the
-number of propositions and the pass width, never on the formula.  So a
-process that decides many formulas at one bound reuses them as a plan
-per shape, and each decision redoes only the formula work: the
-evaluation, the lowest failing lane and the re-verification.  With one
-proposition each shape up to (3,3) fits one pass, so a valid decision at
-the (3,3) bound runs 9 passes; one at (4,3) runs 30, and one at (3,3)
-over two propositions 99.  The first sweep that reaches the end of a
-shape measures its plan in bytes (_Frame.nbytes: the lane masks and atom
+The canonical frames, their block tables and the atom columns of each
+frame that packs several skeletons depend on the shape, the number of
+propositions and the pass width, never on the formula.  So a process
+that decides many formulas at one bound reuses them as a plan per shape,
+and each decision redoes only the formula work: the evaluation, the
+lowest failing lane and the re-verification.  With one proposition each
+shape up to (3,3) fits one pass, so a valid decision at the (3,3) bound
+runs 9 passes; one at (4,3) runs 30, and one at (3,3) over two
+propositions 99.  The first sweep that reaches the end of a shape
+measures its plan in bytes (_Frame.nbytes: the lane masks and atom
 columns, which grow with the lanes of the frames that pack several
 skeletons); the next one keeps the plan if it holds at most _PLAN_BYTES
 (16 MiB).  A full-order sweep always stops at a witness, so it never
 reaches the end of a shape: it streams its frames, and plans are kept of
 canonical skeletons alone.  The plans kept hold at most _PLAN_BYTES in
 all, least recently used out first.  By that measure the plans of the
-(3,3) bound take 0.1 MB with one proposition and 2.8 MB with two, those
-of the (4,3) bound 5.9 MB with one, and those of the (6,2) bound 9.9 MB;
-(3,5) over one proposition takes 30 MB and streams, as (5,3) and (4,4)
-do.  A process that decides once keeps nothing, and a sweep that stops at
-a witness keeps nothing of the shape it stopped in.
+(3,3) bound take 0.14 MB with one proposition and 2.8 MB with two, those
+of the (4,3) bound 6.5 MB with one, and those of the (6,2) bound 10.4
+MB; (3,5) over one proposition takes 29 MB and streams, as (5,3) and
+(4,4) do.  A process that decides once keeps nothing, and a sweep that
+stops at a witness keeps nothing of the shape it stopped in.
 """
 
 from __future__ import annotations

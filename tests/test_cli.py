@@ -1,4 +1,7 @@
+import hashlib
 import json
+import random
+import re
 
 import pytest
 
@@ -90,8 +93,6 @@ class TestValid:
         assert header.startswith("countermodel")
         model_path = tmp_path / "cm.model.json"
         model_path.write_text(rest[rest.index("{") :])
-        import re
-
         world, agent = re.search(r"world (\w+), agent (\w+)", header).groups()
         code, out, _ = run(capsys, "check", str(model_path), world, agent, "R p -> K R p")
         assert code == 1 and out.strip() == "false"
@@ -166,6 +167,101 @@ class TestValid:
             capsys, "valid", "K p -> p", "--max-worlds", "2", "--max-agents", "2", "--prune"
         )
         assert code == 0 and out.startswith("valid up to bounds")
+
+
+def _axiom_instances(count):
+    """Instances of the ten non-tautology axioms over p, drawn as the scan
+    benchmark draws them: each metavariable a parenthesised random
+    formula of one or two connectives."""
+    schemas = [
+        "K PHI -> PHI",
+        "~K PHI -> K ~K PHI",
+        "K (PHI -> PSI) -> (K PHI -> K PSI)",
+        "PHI -> R PHI",
+        "K PHI -> D PHI",
+        "D PHI -> K D PHI",
+        "~R false",
+        "~D false",
+        "R (PHI | PSI) -> R PHI | R PSI",
+        "D (R PHI | D PHI) -> D PHI",
+    ]
+    unary = {"not": "~", "K": "K ", "R": "R ", "D": "D "}
+    binary = {"implies": "->", "and": "&", "or": "|"}
+    kinds = ("atom", "false", *unary, *binary)
+    rng = random.Random("golden-axioms")
+
+    def draw(depth):
+        kind = rng.choice(kinds[:2] if depth <= 0 else kinds)
+        if kind in ("atom", "false"):
+            return "p" if kind == "atom" else "false"
+        if kind in unary:
+            return unary[kind] + draw(depth - 1)
+        return f"({draw(depth - 1)} {binary[kind]} {draw(depth - 1)})"
+
+    out = []
+    for _ in range(count):
+        schema = rng.choice(schemas)
+        subst = {mv: f"({draw(rng.choice((1, 2)))})" for mv in ("PHI", "PSI")}
+        out.append(re.sub(r"\b(PHI|PSI)\b", lambda m: subst[m.group(1)], schema))
+    return out
+
+
+class TestValidGolden:
+    """valid --json bytes pinned by digest: a change to the search may make
+    it faster, never change a verdict, a witness, a count or a byte."""
+
+    # refuted at (3,3) over p; the last six have their witnesses in
+    # (2,2) and (3,2) shapes, past skeletons of several presence masks
+    REFUTED = [
+        "(K false | (K R p -> ((p | false) & ~false)))",
+        "(R ~~p -> p)",
+        "(K (p -> false) | p)",
+        "(K R (p -> false) | ~R ~p)",
+        "R (((p | false) -> K p) | D (false | false))",
+        "(R D p -> p)",
+        "(p -> D R D p)",
+        "(K R (false -> p) & (p | D ~p))",
+        "(D ((false & false) | D p) -> K (K p | D false))",
+        "(((false | p) | K false) -> R K p)",
+        "D ((p -> false) | D p)",
+        "R ((p -> false) | K p)",
+        "((R p | D K false) -> K ~~p)",
+        "~(D ~p & p)",
+        "(((~p & R p) -> K (p & false)) | R K K p)",
+        "(R p -> R K D p)",
+        "(K (D p & ~false) -> R p)",
+        "K ((R p -> (false & p)) | K p)",
+        "(p | (D R p -> false))",
+        "((R p -> (K p | R false)) & ((D p & p) -> R (false | p)))",
+        "(R D p -> (p | p))",
+        "((R p -> (p -> false)) | (~false & D p))",
+        "(~~p -> D K p)",
+        "(K D p -> K R p)",
+        "R p -> K R p",
+        "D p -> R p",
+        "R K p -> K R p",
+        "~D ~K p -> ~R ~D p",
+        "K ~R p -> ~D K p",
+        "~R ~R p -> ~D ~R p",
+    ]
+    DIGESTS = {
+        ("3", False): "92c9df3aafbb93462fec4ef3fe3cdd280c1705fa853c9c93ddc036e936d8ec24",
+        ("3", True): "8ea6c0d44288e09ea41ec75b13cd08ac4d2993087d30061b509ca6d9b34b6a0b",
+        ("4", False): "aff9fa70dbe8ebac30e134357a00b290ef7533fd04af737edd5502e2524de28f",
+        ("4", True): "541c7f0aceffed859f4ffbf6d220108e478d036821763033846a997395297001",
+    }
+
+    @pytest.mark.parametrize("prune", [False, True], ids=["plain", "pruned"])
+    @pytest.mark.parametrize("worlds", ["3", "4"])
+    def test_digest_of_json_output(self, capsys, worlds, prune):
+        digest = hashlib.sha256()
+        argv = ["--max-worlds", worlds, "--max-agents", "3", "--props", "p", "--json"] + ["--prune"] * prune
+        for want, texts in ((0, _axiom_instances(30)), (1, self.REFUTED)):
+            for text in texts:
+                code, out, err = run(capsys, "valid", text, *argv)
+                assert (code, err) == (want, ""), text
+                digest.update(out.encode())
+        assert digest.hexdigest() == self.DIGESTS[worlds, prune]
 
 
 class TestProve:

@@ -300,9 +300,10 @@ class TestChunkedSweep:
         }
 
     def test_every_column_lies_within_full(self, monkeypatch):
-        # a frame of one skeleton masks its blocks with -1, all lanes, and
-        # K and D start from the mask: that cuts nothing, so it is sound
-        # only while every column, seeded or computed, has no bit outside full
+        # a frame of one skeleton masks its know and dere entries with -1,
+        # all lanes, and K, R and D cut by the mask: that cuts nothing, so it
+        # is sound only while every column, seeded or computed, has no bit
+        # outside full
         import awarekit.checker as engine
 
         columns = engine._Frame.columns
@@ -314,7 +315,9 @@ class TestChunkedSweep:
                 assert len(col) == frame.m
                 assert all(0 <= c <= full for c in col)
             assert all(0 <= gap <= full for gap in frame.absent)
-            masks.update(-1 if mask == -1 else "lanes" for mask in frame.lanes)
+            for *_, mask in [*frame.know, *frame.dere]:
+                assert mask == -1 if len(frame.skeletons) == 1 else 0 < mask <= full
+                masks.add(-1 if mask == -1 else "lanes")
             return out
 
         monkeypatch.setattr(engine._Frame, "columns", spy)
@@ -424,6 +427,87 @@ class TestPackedRuns:
                 assert got.models_checked == want, render(f)
             else:
                 assert (got.model, got.point) == want, render(f)
+
+
+class TestEngineAgainstOracle:
+    """Bit by bit: in a packed frame, every present (slot, lane) bit of every
+    subformula's column equals the reference recursion on the lane's
+    materialized model.  Passes of 2**5 and 2**9 lanes put the presence-0
+    skeleton in a pass with others and spread wide skeletons over several
+    passes; 2**16 packs each shape into a few frames of many presence
+    masks, where blocks of different skeletons share know and dere
+    entries.  Lanes are sampled, about LANES per case spread over its
+    passes: per pass, one lane in each of a few skeleton segments, and
+    random ones up to the pass's share."""
+
+    CASES = [(3, 3, ("p",), None), (2, 3, ("p",), None), (2, 2, ("p", "q"), None), (4, 3, ("p",), 6)]
+    IDS = ["3x3p", "2x3p", "2x2pq", "4x3p-first-frames"]
+    LANES, LANES_PER_PASS = 400, 100
+
+    @staticmethod
+    def modal_formula(rng, props, depth):
+        # K, R and D drawn three times as often as each other kind
+        if depth == 0 or rng.random() < 0.15:
+            return Atom(rng.choice(props)) if rng.random() < 0.9 else Falsum()
+        kind = rng.choice([Not, Implies, And, Or] + [Know, DeRe, DeDicto] * 3)
+        if kind in (Implies, And, Or):
+            return kind(
+                TestEngineAgainstOracle.modal_formula(rng, props, depth - 1),
+                TestEngineAgainstOracle.modal_formula(rng, props, depth - 1),
+            )
+        return kind(TestEngineAgainstOracle.modal_formula(rng, props, depth - 1))
+
+    @pytest.mark.parametrize("bits", [5, 9, 16])
+    @pytest.mark.parametrize("worlds,agents,props,limit", CASES, ids=IDS)
+    def test_every_present_bit_equals_eval(self, monkeypatch, worlds, agents, props, limit, bits):
+        import itertools
+
+        import awarekit.checker as engine
+        from awarekit.checker import _eval
+        from awarekit.model import _iter_skeletons_wa, _materialize
+
+        monkeypatch.setattr(engine, "_CHUNK_BITS", bits)
+        rng = random.Random(f"{worlds}x{agents}x{len(props)}:{bits}")
+        roots = [self.modal_formula(rng, props, 4) for _ in range(4)]
+        nodes, stack = {}, list(roots)
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack += children(node)
+        checked, shared = 0, False
+        frames = list(itertools.islice(engine._pack(_iter_skeletons_wa(worlds, agents, True), len(props)), limit))
+        per_pass = max(1, self.LANES // sum(max(1, frame.size >> bits) for frame in frames))
+        for frame in frames:
+            shared |= len({sk.presence_mask for sk in frame.skeletons}) > 1
+            for start, full, atoms in frame._passes(len(props)):
+                memo = {}
+                frame.columns(roots, dict(zip(props, atoms)), full, memo)
+                # the segments of the skeletons this pass holds, cut to it
+                width = full.bit_length()
+                segments = [
+                    (max(lo, start), min(hi, start + width))
+                    for lo, hi in zip(frame.starts, [*frame.starts[1:], frame.size])
+                    if lo < start + width and hi > start
+                ]
+                count = min(per_pass, self.LANES_PER_PASS, width)
+                lanes = {rng.randrange(lo, hi) for lo, hi in rng.sample(segments, min(len(segments), count))}
+                while len(lanes) < count:
+                    lanes.add(rng.randrange(start, start + width))
+                for lane in sorted(lanes):
+                    sk, masks = frame.valuation(lane, len(props))
+                    model = _materialize(sk, masks, props)
+                    oracle = {}
+                    for slot, t in enumerate(frame.pairs):
+                        if not sk.presence_mask >> t & 1:
+                            continue
+                        agent, world = divmod(t, worlds)
+                        for key, node in nodes.items():
+                            got = memo[key][slot] >> (lane - start) & 1
+                            assert got == _eval(model, world, agent, node, oracle), (render(node), lane, slot)
+                    checked += 1
+        assert checked >= 30
+        assert shared or bits == 5
 
 
 class TestCanonicalFirstScan:

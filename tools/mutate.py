@@ -33,6 +33,7 @@ SEARCH_TESTS = ("tests/test_search.py",)
 CHECKER_TESTS = ("tests/test_checker.py",)
 SYNTAX_TESTS = ("tests/test_syntax.py",)
 PROOF_TESTS = ("tests/test_proof.py",)
+MODEL_TESTS = ("tests/test_model.py",)
 
 # (name, description, file under src/awarekit, old text, new text, test files)
 MUTANTS = [
@@ -120,8 +121,32 @@ MUTANTS = [
         "d-reads-absent",
         "D counts inhabitants that are absent in the lane's skeleton",
         "checker.py",
-        "for c in range(A) if rows[c] >> u & 1])",
-        "for c in range(A) if c * W + u in slot_of])",
+        "                    child = [c & here for c, here in zip(child, cut)]",
+        "                    child = [c for c, here in zip(child, cut)]",
+        SEARCH_TESTS,
+    ),
+    (
+        "know-one-block",
+        "a know entry keeps the lanes of one run of its blocks, not their OR",
+        "checker.py",
+        "        self.know = tuple([(slots, lanes(spans)) for slots, spans in know.items()])",
+        "        self.know = tuple([(slots, lanes(spans[:2])) for slots, spans in know.items()])",
+        SEARCH_TESTS,
+    ),
+    (
+        "dere-one-block",
+        "a dere entry keeps the lanes of one run of its blocks, not their OR",
+        "checker.py",
+        "        self.dere = tuple([(s, cands, lanes(spans)) for (s, cands), spans in dere.items()])",
+        "        self.dere = tuple([(s, cands, lanes(spans[-2:])) for (s, cands), spans in dere.items()])",
+        SEARCH_TESTS,
+    ),
+    (
+        "dere-keyed-by-slot",
+        "dere is keyed by member slot alone: a slot keeps the R candidates first found for it",
+        "checker.py",
+        "                            got.append(dere.setdefault((s, cands), []))",
+        "                            got.append(dere.setdefault(next((k for k in dere if k[0] == s), (s, cands)), []))",
         SEARCH_TESTS,
     ),
     (
@@ -157,6 +182,38 @@ MUTANTS = [
         SEARCH_TESTS,
     ),
     (
+        "tie-check-skipped",
+        "the canonical enumerator keeps agents with equal rows in any partition order",
+        "model.py",
+        "                if any(combo[a] > combo[a + 1] for a in ties):",
+        "                if False:",
+        MODEL_TESTS,
+    ),
+    (
+        "finest-partition-dropped",
+        "a row's partitions leave out the finest one, all singletons",
+        "model.py",
+        "    return tuple(out)\n",
+        "    return tuple(out[:-1] or out)\n",
+        MODEL_TESTS,
+    ),
+    (
+        "first-fixing-relabeling-only",
+        "the canonical enumerator tries only the first relabeling that fixes the rows",
+        "model.py",
+        "                for i, perm, keys in fixing:",
+        "                for i, perm, keys in fixing[:1]:",
+        MODEL_TESTS,
+    ),
+    (
+        "taut-first-pass-only",
+        "is_tautology checks only the first pass of valuations",
+        "syntax.py",
+        "    for high in range(1 << (n - low)):",
+        "    for high in range(1):",
+        SYNTAX_TESTS,
+    ),
+    (
         "memo-ignores-depth",
         "the parser's group memo serves a group however deep it then sits",
         "syntax.py",
@@ -186,6 +243,46 @@ MUTANTS = [
         "proof.py",
         "    _check_line(theorem, len(theorem.lines) - 1, registry)\n",
         "",
+        PROOF_TESTS,
+    ),
+    (
+        "nec-in-hypothesis-mode",
+        "nec is allowed when deriving from hypotheses",
+        "proof.py",
+        "    if hyp_mode and isinstance(just, (Nec, MonoD, MonoR)):",
+        "    if hyp_mode and isinstance(just, (MonoD, MonoR)):",
+        PROOF_TESTS,
+    ),
+    (
+        "mono-swapped",
+        "monoD wraps an implication in R and monoR wraps it in D",
+        "proof.py",
+        "_MONO_WRAP = {MonoD: DeDicto, MonoR: DeRe}",
+        "_MONO_WRAP = {MonoD: DeRe, MonoR: DeDicto}",
+        PROOF_TESTS,
+    ),
+    (
+        "cite-unchecked",
+        "a citation is not compared with the instance it names",
+        "proof.py",
+        "        if concrete != line.formula:",
+        "        if False:",
+        PROOF_TESTS,
+    ),
+    (
+        "register-unchecked",
+        "register does not compare the conclusion with the designated instance",
+        "proof.py",
+        "        if expected != conclusion:",
+        "        if False:",
+        PROOF_TESTS,
+    ),
+    (
+        "disj-reads-d",
+        "the disj axiom is read with D in place of R",
+        "proof.py",
+        '    AxiomId.DISJ: parse("R (PHI | PSI) -> R PHI | R PSI"),',
+        '    AxiomId.DISJ: parse("D (PHI | PSI) -> D PHI | D PSI"),',
         PROOF_TESTS,
     ),
     (
