@@ -11,12 +11,14 @@ each pair present in some skeleton gets one integer column, whose bits,
 the lanes, say "true in this skeleton under this valuation", skeleton by
 skeleton, each over a segment as long as its own valuations.  K, and D
 through K's table, fold over one table of the frame's blocks, R another.
-``ModelEvaluator`` runs a concrete model as a frame of one skeleton under
-its one valuation: a column of one formula is a single bit, and the
-instances of a schema run as the lanes of one column, lane j for
-substitution j.  The bounded search in ``awarekit.search`` packs each
-shape's skeletons into frames (``_pack``), each one pass wide or one
-skeleton that needs several, and sweeps them under every valuation.
+A call reads atoms and metavariables alike by name from one leaf map, and
+keeps nothing once it returns.  ``ModelEvaluator`` runs a concrete model
+as a frame of one skeleton under its one valuation: a column of one
+formula is a single bit, and the instances of a schema run as the lanes of
+one column, lane j for substitution j.  The bounded search in
+``awarekit.search`` packs each shape's skeletons into frames (``_pack``),
+each one pass wide or one skeleton that needs several, and sweeps them
+under every valuation.
 """
 
 from __future__ import annotations
@@ -294,23 +296,24 @@ class _Frame:
         masks = {id(e[-1]): e[-1] for e in chain(self.know, self.dere)}
         return sum(map(sys.getsizeof, chain(masks.values(), self.absent, *self._atoms or ())))
 
-    def columns(
-        self,
-        roots: Sequence[Formula],
-        atoms: dict[str, list[int]],
-        full: int,
-        memo: dict[int, list[int]],
-    ) -> list[list[int]]:
+    def point(self, slot: int) -> Point:
+        """The point of a slot's pair."""
+        a, w = divmod(self.pairs[slot], self.skeletons[0].world_count)
+        return Point(w, a)
+
+    def columns(self, roots: Sequence[Formula], leaves: Mapping[str, list[int]], full: int) -> list[list[int]]:
         """Per root, its column per slot: bit l set iff the root holds at
         the slot's pair in lane l of the pass whose lanes are the bits of
         full.
 
-        atoms gives each proposition's column per slot; one it lacks is
-        false everywhere.  memo maps node ids to columns already known, so
-        a node seeded there is a leaf whatever its kind.
+        leaves maps names to columns per slot, and every Atom and MetaVar
+        reads its name there: a proposition it lacks is false everywhere,
+        and a metavariable it lacks raises ValueError.  Each distinct node
+        is evaluated once per call, and nothing is kept across calls.
         """
         m = self.m
         zero = [0] * m
+        memo: dict[int, list[int]] = {}
         cut: list[int] = []  # per slot, the lanes where it is present, once a D needs it
 
         # K's fold, which D shares: AND over each know entry's slots, cut, OR into them
@@ -330,7 +333,7 @@ class _Frame:
             # exact types, as _program dispatches: a subclass is no formula
             kind = type(node)
             if kind is Atom:
-                out = atoms.get(node.name, zero)
+                out = leaves.get(node.name, zero)
             elif kind is Falsum:
                 out = zero
             elif kind is Not:
@@ -371,7 +374,9 @@ class _Frame:
                         inhabited[s] = acc
                 out = fold(inhabited)
             elif kind is MetaVar:
-                raise ValueError(f"cannot evaluate a schema; metavariable {node.name} is unbound")
+                out = leaves.get(node.name)
+                if out is None:
+                    raise ValueError(f"cannot evaluate a schema; metavariable {node.name} is unbound")
             else:
                 raise TypeError(f"not a formula node: {node!r}")
             memo[id(node)] = out
@@ -433,29 +438,21 @@ class ModelEvaluator:
             for p, pairs in m.valuation.items()
         }
 
-    def _columns(self, f: Formula) -> list[int]:
-        return self._frame.columns([f], self._atoms, 1, {})[0]
+    def _columns(self, roots: Sequence[Formula]) -> list[list[int]]:
+        """Each root's single-lane column per slot, in one engine call."""
+        return self._frame.columns(roots, self._atoms, 1)
 
     def extension_mask(self, f: Formula) -> int:
         out = 0
-        for t, c in zip(self._frame.pairs, self._columns(f)):
+        for t, c in zip(self._frame.pairs, self._columns([f])[0]):
             out |= c << t
         return out
 
     def holds_everywhere(self, f: Formula) -> bool:
-        return all(self._columns(f))
+        return all(self._columns([f])[0])
 
     def extension(self, f: Formula) -> set[Point]:
-        W = self.model.world_count
-        return {
-            Point(t % W, t // W)
-            for t, c in zip(self._frame.pairs, self._columns(f))
-            if c
-        }
-
-    def _point(self, slot: int) -> Point:
-        a, w = divmod(self._frame.pairs[slot], self.model.world_count)
-        return Point(w, a)
+        return {self._frame.point(slot) for slot, c in enumerate(self._columns([f])[0]) if c}
 
     def first_failure(self, f: Formula, _column: list[int] | None = None) -> Point | None:
         """Lowest present pair (agent-major order) where f fails, if any.
@@ -464,63 +461,61 @@ class ModelEvaluator:
         passes one instance's lane of its pass.
         """
         if _column is None:
-            _column = self._columns(f)
+            _column = self._columns([f])[0]
         for slot, c in enumerate(_column):
             if not c:
-                return self._point(slot)
+                return self._frame.point(slot)
         return None
 
     def first_failures(
         self,
         schema: Formula,
         substitutions: Sequence[Mapping[str, Formula]],
-        _memo: dict[int, list[int]] | None = None,
+        _single: Sequence[list[int]] | None = None,
     ) -> list[tuple[int, Point]]:
         """(j, first_failure of instance j) for each instance of schema
         that fails, in ascending j, where instance j substitutes
         substitutions[j] into the schema's metavariables.
 
         No instance is built.  The instances run as the lanes of one
-        column: each substitution formula is evaluated once, its column
-        goes into lane j of its metavariable's column, every metavariable
-        node is seeded with that column as a leaf, and the schema body is
-        evaluated once over all lanes.  Each instance's failure is then
+        column: each substitution formula is evaluated once on the model
+        alone, its column goes into lane j of its metavariable's column,
+        that column joins the atoms' in the leaf map, and the schema body
+        is evaluated once over all lanes.  Each instance's failure is then
         read off its lane by first_failure.
 
-        _memo, when given, maps ids of substitution nodes to their columns
-        on this model alone, and takes the new ones: fuzz_soundness shares
-        one across a trial's schemas.  The caller keeps every node it
-        names alive while it is used.  It never seeds the schema body,
-        whose columns are as wide as the instances.
+        _single, when given, holds the single-lane columns of the
+        substitution formulas, metavariable by metavariable in sorted name
+        order and instance by instance within each, in place of evaluating
+        them here: fuzz_soundness evaluates a trial's whole pool in one
+        call and hands each schema its columns by position.
         """
         n = len(substitutions)
         if not n:
             return []
         full = (1 << n) - 1
-        metavars: list[MetaVar] = []
+        found: set[str] = set()
         stack = [schema]
         while stack:
             node = stack.pop()
             if isinstance(node, MetaVar):
-                metavars.append(node)
+                found.add(node.name)
             else:
                 stack += children(node)
-        names = list(dict.fromkeys(node.name for node in metavars))
-        try:
-            roots = [subst[name] for name in names for subst in substitutions]
-        except KeyError as exc:
-            raise UnboundMetavariableError(exc.args[0]) from None
-        # each substitution formula once, on the model alone
-        single = self._frame.columns(roots, self._atoms, 1, {} if _memo is None else _memo)
-        packed: dict[str, list[int]] = {}
+        names = sorted(found)
+        if _single is None:
+            try:
+                roots = [subst[name] for name in names for subst in substitutions]
+            except KeyError as exc:
+                raise UnboundMetavariableError(exc.args[0]) from None
+            _single = self._columns(roots)
+        leaves = {p: [full if b else 0 for b in col] for p, col in self._atoms.items()}
         for i, name in enumerate(names):
             # bit j of slot s is the single bit of substitution j at slot s:
             # the slot's bits, lane n - 1 first, read as a binary numeral
-            per_slot = zip(*single[i * n : i * n + n])
-            packed[name] = [int(bytes(bits[::-1]).translate(_BINARY_DIGITS), 2) for bits in per_slot]
-        memo = {id(node): packed[node.name] for node in metavars}
-        atoms = {p: [full if b else 0 for b in col] for p, col in self._atoms.items()}
-        [result] = self._frame.columns([schema], atoms, full, memo)
+            per_slot = zip(*_single[i * n : i * n + n])
+            leaves[name] = [int(bytes(bits[::-1]).translate(_BINARY_DIGITS), 2) for bits in per_slot]
+        [result] = self._frame.columns([schema], leaves, full)
         out = []
         for j in range(n):
             point = self.first_failure(schema, [c >> j & 1 for c in result])

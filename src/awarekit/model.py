@@ -71,6 +71,11 @@ class Bounds(Record):
     props: tuple[str, ...]
 
     def __post_init__(self):
+        for field in ("max_worlds", "max_agents"):
+            if type(getattr(self, field)) is not int:
+                raise ValueError(f"bounds {field} must be an int, got {getattr(self, field)!r}")
+        if isinstance(self.props, str):
+            raise ValueError(f"bounds props must be a sequence of names, not the string {self.props!r}")
         object.__setattr__(self, "props", tuple(self.props))
         if self.max_worlds < 1 or self.max_agents < 1:
             raise ValueError("bounds must allow at least one world and one agent")

@@ -191,7 +191,7 @@ def _sweep(
     for frame in frames:
         gaps = frame.absent
         for start, full, atoms in frame._passes(len(props)):
-            [result] = frame.columns([f], dict(zip(props, atoms)), full, {})
+            [result] = frame.columns([f], dict(zip(props, atoms)), full)
             # a lane fails where f is false at a slot its skeleton has
             ok = full
             for c, gap in zip(result, gaps):
@@ -212,8 +212,7 @@ def _witness(
     checker."""
     sk, masks = frame.valuation(lane, len(props))
     model = _materialize(sk, masks, props)
-    a, w = divmod(frame.pairs[slot], sk.world_count)
-    point = Point(w, a)
+    point = frame.point(slot)
     if satisfies(model, point, f):
         raise AssertionError("search engine and reference checker disagree; please report")
     return model, point
@@ -385,10 +384,11 @@ def fuzz_soundness(
 
     The instances of one schema on one model are evaluated as the lanes of
     one pass (see ModelEvaluator.first_failures), never built one by one.
-    A trial's pool is hash-consed: its equal subtrees are one object, and
-    each distinct subtree is evaluated once on the trial's model, for all
-    schemas.  The violations, their order and the report are those of
-    checking each instance in turn.
+    A trial draws every schema's substitutions first, into one hash-consed
+    pool whose equal subtrees are one object, and evaluates the whole pool
+    on the trial's model in one engine call, so each distinct subtree is
+    evaluated once for all schemas.  The violations, their order and the
+    report are those of checking each instance in turn.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -400,23 +400,23 @@ def fuzz_soundness(
         schemas = default_fuzz_schemas()
     rng = random.Random(seed)
     draw = _drawer(rng, bounds.props)
-    checked = 0
     violations: list[FuzzViolation] = []
     schemas = [(schema_id, schema, sorted(metavariables(schema))) for schema_id, schema in schemas]
     for _ in range(trials):
         model = random_model(rng.getrandbits(64), bounds)
         evaluator = ModelEvaluator(model)
-        # one trial's pool and its single-lane columns on this model: memo
-        # is keyed by ids of nodes that interned or draw keeps alive, and
-        # both are dropped with the model
+        # the trial's pool, schema by schema as first_failures reads it,
+        # evaluated on this model in one call; each schema then takes its
+        # share of the single-lane columns by position
         interned: dict = {}
-        memo: dict = {}
-        for schema_id, schema, mvs in schemas:
-            substs = [
-                {mv: draw(pool_depth, interned) for mv in mvs}
-                for _ in range(instances_per_schema)
-            ]
-            checked += instances_per_schema
-            for j, point in evaluator.first_failures(schema, substs, _memo=memo):
+        drawn = [
+            [{mv: draw(pool_depth, interned) for mv in mvs} for _ in range(instances_per_schema)]
+            for *_, mvs in schemas
+        ]
+        pool = [subst[mv] for (*_, mvs), substs in zip(schemas, drawn) for mv in mvs for subst in substs]
+        single, end = evaluator._columns(pool), 0
+        for (schema_id, schema, mvs), substs in zip(schemas, drawn):
+            start, end = end, end + len(mvs) * instances_per_schema
+            for j, point in evaluator.first_failures(schema, substs, single[start:end]):
                 violations.append(FuzzViolation(model, point, schema_id, substs[j]))
-    return FuzzReport(trials, checked, tuple(violations))
+    return FuzzReport(trials, trials * len(schemas) * instances_per_schema, tuple(violations))

@@ -118,6 +118,15 @@ class TestExtension:
     def test_matches_pointwise_reference(self, m, f):
         assert extension(m, f) == {pt for pt in m.points() if satisfies(m, pt, f)}
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_models(), formulas(max_depth=3))
+    def test_extension_mask_is_the_extension_as_pair_bits(self, m, f):
+        ev = ModelEvaluator(m)
+        want = 0
+        for pt in ev.extension(f):
+            want |= 1 << (pt.agent * m.world_count + pt.world)
+        assert ev.extension_mask(f) == want
+
 
 class TestAbsentProposition:
     def test_false_everywhere(self, museum):
@@ -256,6 +265,8 @@ class TestEvaluatorEngine:
         rng = random.Random(seed)
         schemas = [AXIOM_SCHEMAS[ax] for ax in NON_TAUT_AXIOMS]
         schemas += [parse("PHI -> K PHI"), parse("R PHI -> K PHI | PSI"), parse("~R false")]
+        # bodies that read an atom, whose column there is one lane per instance
+        schemas += [parse("PHI -> K p"), parse("p & PHI -> R (p & ~PSI)")]
         schema = rng.choice(schemas)
         substs = [
             {mv: random_formula(rng, ("p", "q", "z"), 3) for mv in metavariables(schema)}

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings
 
+from awarekit.checker import ModelEvaluator
 from awarekit.model import (
     AgentNotPresentError,
     Bounds,
@@ -50,6 +51,13 @@ class TestValidate:
         m = EpistemicModel(2, 1, {(0, 0), (0, 1)}, (((0, 1), (1,)),), {})
         assert "partition-overlap" in [v.code for v in m.validate()]
 
+    def test_partition_count(self):
+        m = EpistemicModel(2, 2, {(0, 0)}, (((0,),),), {})
+        want = "partition-count: expected one partition per agent (2), got 1"
+        assert [str(v) for v in m.validate()] == [want]
+        with pytest.raises(ValueError, match=re.escape(want)):
+            ModelEvaluator(m)
+
     def test_presence_out_of_range(self):
         m = EpistemicModel(1, 1, {(0, 0), (1, 0)}, (((0,),), ()), {})
         codes = [v.code for v in m.validate()]
@@ -74,6 +82,20 @@ class TestBounds:
         with pytest.raises(ValueError) as exc:
             Bounds(2, 2, ("p", name))
         assert str(exc.value) == f"invalid proposition name {name!r}"
+
+    # a string is a sequence of one-letter names, which "pq" would pass as
+    # ('p', 'q') and "weride" would fail as duplicates
+    @pytest.mark.parametrize("props", ["pq", "weride", "p", ""])
+    def test_string_props_rejected(self, props):
+        with pytest.raises(ValueError, match="^bounds props must be a sequence of names, not the string"):
+            Bounds(3, 3, props)
+
+    @pytest.mark.parametrize("field", ["max_worlds", "max_agents"])
+    @pytest.mark.parametrize("cap", [2.0, "2", None, True])
+    def test_cap_that_is_not_an_int_rejected(self, field, cap):
+        with pytest.raises(ValueError) as exc:
+            Bounds(**{"max_worlds": 2, "max_agents": 2, "props": ("p",), field: cap})
+        assert str(exc.value) == f"bounds {field} must be an int, got {cap!r}"
 
 
 class TestAccessors:
@@ -334,6 +356,22 @@ class TestDot:
         assert '"a@w1" -- "a@w2"' in dot
         assert "cluster_w1" in dot and "cluster_w2" in dot
         assert "weride" in dot
+
+    def test_empty_world_gets_a_no_agents_node(self):
+        m = EpistemicModel(2, 1, {(0, 0)}, (((0,),),), {"p": {(0, 0)}})
+        assert model_to_dot(m) == (
+            "graph model {\n"
+            "  node [shape=box];\n"
+            '  subgraph "cluster_w0" {\n'
+            '    label="w0";\n'
+            '    "a0@w0" [label="a0\\np"];\n'
+            "  }\n"
+            '  subgraph "cluster_w1" {\n'
+            '    label="w1";\n'
+            '    "empty@w1" [label="(no agents)", shape=plaintext];\n'
+            "  }\n"
+            "}\n"
+        )
 
     def test_marked_points_highlighted(self, museum):
         model, W, A = museum

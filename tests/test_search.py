@@ -302,23 +302,30 @@ class TestChunkedSweep:
     def test_every_column_lies_within_full(self, monkeypatch):
         # a frame of one skeleton masks its know and dere entries with -1,
         # all lanes, and K, R and D cut by the mask: that cuts nothing, so it
-        # is sound only while every column, seeded or computed, has no bit
-        # outside full
+        # is sound only while every column, a leaf's or a computed one, has
+        # no bit outside full.  Each call is repeated with every distinct
+        # subformula of its roots as a root, so the intermediate columns
+        # are checked too.
         import awarekit.checker as engine
 
         columns = engine._Frame.columns
         masks = set()
 
-        def spy(frame, roots, atoms, full, memo):
-            out = columns(frame, roots, atoms, full, memo)
-            for col in [*out, *memo.values()]:
+        def spy(frame, roots, leaves, full):
+            nodes, stack = {}, list(roots)
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes:
+                    nodes[id(node)] = node
+                    stack += children(node)
+            for col in [*columns(frame, list(nodes.values()), leaves, full), *leaves.values()]:
                 assert len(col) == frame.m
                 assert all(0 <= c <= full for c in col)
             assert all(0 <= gap <= full for gap in frame.absent)
             for *_, mask in [*frame.know, *frame.dere]:
                 assert mask == -1 if len(frame.skeletons) == 1 else 0 < mask <= full
                 masks.add(-1 if mask == -1 else "lanes")
-            return out
+            return columns(frame, roots, leaves, full)
 
         monkeypatch.setattr(engine._Frame, "columns", spy)
         for bits in (3, 5, 9, engine._CHUNK_BITS):
@@ -475,14 +482,15 @@ class TestEngineAgainstOracle:
             if id(node) not in nodes:
                 nodes[id(node)] = node
                 stack += children(node)
+        subformulas = list(nodes.values())
         checked, shared = 0, False
         frames = list(itertools.islice(engine._pack(_iter_skeletons_wa(worlds, agents, True), len(props)), limit))
         per_pass = max(1, self.LANES // sum(max(1, frame.size >> bits) for frame in frames))
         for frame in frames:
             shared |= len({sk.presence_mask for sk in frame.skeletons}) > 1
             for start, full, atoms in frame._passes(len(props)):
-                memo = {}
-                frame.columns(roots, dict(zip(props, atoms)), full, memo)
+                # every distinct subformula is a root, so each one's column comes back
+                cols = frame.columns(subformulas, dict(zip(props, atoms)), full)
                 # the segments of the skeletons this pass holds, cut to it
                 width = full.bit_length()
                 segments = [
@@ -502,8 +510,8 @@ class TestEngineAgainstOracle:
                         if not sk.presence_mask >> t & 1:
                             continue
                         agent, world = divmod(t, worlds)
-                        for key, node in nodes.items():
-                            got = memo[key][slot] >> (lane - start) & 1
+                        for node, col in zip(subformulas, cols):
+                            got = col[slot] >> (lane - start) & 1
                             assert got == _eval(model, world, agent, node, oracle), (render(node), lane, slot)
                     checked += 1
         assert checked >= 30
@@ -971,10 +979,14 @@ class TestPoolDraw:
 
 
 class TestFuzzMemo:
-    """fuzz_soundness shares one single-lane memo across a trial's schemas;
-    it must never leak into a schema body and must not outlive its nodes."""
+    """fuzz_soundness evaluates a trial's pool on one lane in one engine
+    call and hands each schema its columns by position; no column may
+    reach a schema body but as its metavariables' lanes, and no call may
+    see another call's columns."""
 
     def test_schema_atom_used_as_substitution(self):
+        # p is an atom of the body, one lane per instance there, and a
+        # substitution formula, one lane in all in the pool's call
         p = Atom("p")
         schema = Implies(MetaVar("PHI"), Know(p))
         substs = [{"PHI": p}, {"PHI": Not(p)}, {"PHI": Know(p)}, {"PHI": p}]
@@ -985,11 +997,9 @@ class TestFuzzMemo:
                 for j, subst in enumerate(substs)
                 if (point := evaluator.first_failure(instantiate(schema, subst))) is not None
             ]
-            memo: dict = {}
-            # the second call runs on a memo that already holds p's column
-            for _ in range(2):
-                assert evaluator.first_failures(schema, substs, _memo=memo) == want
-            assert id(p) in memo
+            single = evaluator._columns([subst["PHI"] for subst in substs])
+            assert evaluator.first_failures(schema, substs, single) == want
+            assert evaluator.first_failures(schema, substs) == want
 
     def test_fuzz_with_concrete_atoms_in_schemas(self):
         schemas = _schemas("PHI -> K p", "p & PHI -> R (p & PHI)", "K (PHI | q) -> K p")
@@ -1020,6 +1030,55 @@ class TestFuzzMemo:
             for _, schema in PLANTED:
                 for _ in range(20):
                     assert round_agrees(evaluator, schema)
+
+    def test_one_pool_call_per_trial(self, monkeypatch):
+        # one single-lane call whose roots are the trial's substitution
+        # formulas, schema by schema in draw order, then one call per body
+        import awarekit.checker as engine
+
+        columns = engine._Frame.columns
+        calls = []
+
+        def spy(frame, roots, leaves, full):
+            calls.append((list(roots), full))
+            return columns(frame, roots, leaves, full)
+
+        monkeypatch.setattr(engine._Frame, "columns", spy)
+        bounds, schemas = Bounds(3, 3, ("p", "q")), default_fuzz_schemas()
+        for seed in range(3):
+            rng = random.Random(seed)
+            draw = _drawer(rng, bounds.props)
+            want = []
+            for _ in range(2):
+                rng.getrandbits(64)  # the trial's model
+                interned, pool = {}, []
+                for _, schema in schemas:
+                    mvs = sorted(metavariables(schema))
+                    substs = [{mv: draw(3, interned) for mv in mvs} for _ in range(10)]
+                    pool += [subst[mv] for mv in mvs for subst in substs]
+                want += [(pool, 1)] + [([schema], (1 << 10) - 1) for _, schema in schemas]
+            calls.clear()
+            assert fuzz_soundness(2, seed, bounds, 3).ok
+            assert calls == want
+
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("PHI", lambda model: decide_bounded(parse("PHI -> p"), Bounds(2, 2, ("p",)))),
+            ("PHI", lambda model: ModelEvaluator(model).holds_everywhere(parse("K PHI"))),
+            (
+                "PSI",
+                lambda model: ModelEvaluator(model).first_failures(
+                    parse("PHI -> K PHI"), [{"PHI": parse("p")}, {"PHI": parse("p & PSI")}]
+                ),
+            ),
+        ],
+        ids=["decide_bounded", "holds_everywhere", "schema-substitution"],
+    )
+    def test_unbound_metavariable_reaching_the_engine(self, name, call):
+        model = random_model(3, Bounds(2, 2, ("p",)))
+        with pytest.raises(ValueError, match=f"^cannot evaluate a schema; metavariable {name} is unbound$"):
+            call(model)
 
 
 class TestRandomFormula:

@@ -182,6 +182,42 @@ MUTANTS = [
         SEARCH_TESTS,
     ),
     (
+        "lanes-read-lane-0-first",
+        "first_failures packs a slot's instance bits with lane 0 most significant",
+        "checker.py",
+        "int(bytes(bits[::-1]).translate(_BINARY_DIGITS), 2)",
+        "int(bytes(bits).translate(_BINARY_DIGITS), 2)",
+        CHECKER_TESTS + SEARCH_TESTS,
+    ),
+    (
+        "body-atoms-one-lane",
+        "the schema body reads each atom's single-lane column, lane 0 alone",
+        "checker.py",
+        "        leaves = {p: [full if b else 0 for b in col] for p, col in self._atoms.items()}",
+        "        leaves = dict(self._atoms)",
+        CHECKER_TESTS + SEARCH_TESTS,
+    ),
+    (
+        "metavar-leaf-false",
+        "a bound metavariable reads as false everywhere",
+        "checker.py",
+        "                out = leaves.get(node.name)\n",
+        "                out = leaves.get(node.name) and zero\n",
+        CHECKER_TESTS + SEARCH_TESTS,
+    ),
+    (
+        "fuzz-call-per-schema",
+        "fuzz evaluates each schema's substitutions in an engine call of their own",
+        "search.py",
+        "        single, end = evaluator._columns(pool), 0\n"
+        "        for (schema_id, schema, mvs), substs in zip(schemas, drawn):\n"
+        "            start, end = end, end + len(mvs) * instances_per_schema\n"
+        "            for j, point in evaluator.first_failures(schema, substs, single[start:end]):\n",
+        "        for (schema_id, schema, mvs), substs in zip(schemas, drawn):\n"
+        "            for j, point in evaluator.first_failures(schema, substs):\n",
+        SEARCH_TESTS,
+    ),
+    (
         "tie-check-skipped",
         "the canonical enumerator keeps agents with equal rows in any partition order",
         "model.py",
