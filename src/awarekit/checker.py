@@ -5,8 +5,8 @@ recursion: ``satisfies`` memoizes it per query on (world, agent, subformula
 identity), and ``satisfies_naive`` runs it without the cache so the cache
 can be cross-checked.  ``_Frame`` is the column engine, which every fast
 path runs on.  It takes consecutive skeletons (models minus their
-valuation) of one world count and agent count, whatever their presence,
-and evaluates a formula over all of them under all valuations at once:
+valuation) of any shapes and presence, and evaluates a formula over all
+of them under all valuations at once:
 each pair present in some skeleton gets one integer column, whose bits,
 the lanes, say "true in this skeleton under this valuation", skeleton by
 skeleton, each over a segment as long as its own valuations.  K, and D
@@ -16,9 +16,9 @@ keeps nothing once it returns.  ``ModelEvaluator`` runs a concrete model
 as a frame of one skeleton under its one valuation: a column of one
 formula is a single bit, and the instances of a schema run as the lanes of
 one column, lane j for substitution j.  The bounded search in
-``awarekit.search`` packs each shape's skeletons into frames (``_pack``),
-each one pass wide or one skeleton that needs several, and sweeps them
-under every valuation.
+``awarekit.search`` packs skeletons into frames (``_pack``), one shape's
+at a time or runs of shapes for a kept plan, each frame one pass wide or
+one skeleton that needs several, and sweeps them under every valuation.
 """
 
 from __future__ import annotations
@@ -144,11 +144,14 @@ def _valuation_bit(nprops: int, p: int, m: int, k: int) -> int:
 
 
 class _Frame:
-    """The column engine over consecutive skeletons of one (worlds, agents)
-    shape, whatever their presence masks.
+    """The column engine over consecutive skeletons of any (worlds, agents)
+    shapes and presence masks.
 
-    Slot i is the i-th pair, in ascending pair-bit order (agent-major
-    (agent, world) order), that some skeleton of the frame has present, and
+    The frame numbers pairs a * W + u, W its skeletons' largest world
+    count (world_count), and reads each skeleton's presence there: the
+    skeleton's own pair bits, a * w + u, in the same order (_embed).  Slot
+    i is the i-th pair, in ascending pair-bit order (agent-major (agent,
+    world) order), that some skeleton of the frame has present, and
     worlds[u] holds the slots at world u.  Skeleton i owns the segment of
     2**(nprops * m_i) lanes from starts[i], where m_i is its own number of
     present pairs: lane starts[i] + v stands for it under valuation v,
@@ -177,16 +180,21 @@ class _Frame:
     from the shared counting patterns at each pass.
     """
 
-    __slots__ = ("skeletons", "starts", "size", "pairs", "m", "worlds", "know", "dere", "absent", "_atoms")
+    __slots__ = (
+        "skeletons", "world_count", "starts", "size", "pairs", "m", "worlds", "know", "dere", "absent", "_atoms"
+    )
 
     def __init__(self, skeletons: Sequence[_Skeleton], nprops: int):
         self.skeletons = skeletons = tuple(skeletons)
-        W, A = skeletons[0].world_count, skeletons[0].agent_count
+        self.world_count = W = max([sk.world_count for sk in skeletons])
+        A = max([sk.agent_count for sk in skeletons])
+        # each skeleton's presence in the frame's pair bits, a * W + u
+        embedded = [_embed(sk, W) for sk in skeletons]
         union, size, starts = 0, 0, []
-        for sk in skeletons:
-            union |= sk.presence_mask
+        for mask in embedded:
+            union |= mask
             starts.append(size)
-            size += 1 << nprops * sk.presence_mask.bit_count()
+            size += 1 << nprops * mask.bit_count()
         self.starts, self.size = tuple(starts), size
         self.pairs = tuple([t for t in range(union.bit_length()) if union >> t & 1])
         self.m = m = len(self.pairs)
@@ -200,9 +208,9 @@ class _Frame:
         ends = (*starts, size)
         mask = None
         for i, sk in enumerate(skeletons):
-            if sk.presence_mask != mask:
+            if embedded[i] != mask:
                 runs.append(i)
-                mask = sk.presence_mask
+                mask = embedded[i]
                 rows = [mask >> a * W & ((1 << W) - 1) for a in range(A)]
             lo, hi = ends[i], ends[i + 1]
             for a, part in enumerate(sk.partitions):
@@ -249,7 +257,7 @@ class _Frame:
         for i, j in zip(runs, [*runs[1:], len(skeletons)]):
             start = starts[i]
             ones = (1 << (ends[j] - start)) - 1
-            own = [slot_of[t] for t in skeletons[i].pair_bits()]
+            own = [slot_of[t] for t in range(embedded[i].bit_length()) if embedded[i] >> t & 1]
             for k, s in enumerate(own):
                 present[s] |= ones << start
                 for p in range(nprops):
@@ -282,7 +290,8 @@ class _Frame:
 
     def valuation(self, lane: int, nprops: int) -> tuple[_Skeleton, tuple[int, ...]]:
         """The skeleton of a lane and its valuation there: per proposition,
-        the pair-bit mask of the pairs where it is true."""
+        the mask, in the skeleton's own pair bits, of the pairs where it is
+        true."""
         i = bisect_right(self.starts, lane) - 1
         sk, index = self.skeletons[i], lane - self.starts[i]
         pairs = sk.pair_bits()
@@ -298,7 +307,7 @@ class _Frame:
 
     def point(self, slot: int) -> Point:
         """The point of a slot's pair."""
-        a, w = divmod(self.pairs[slot], self.skeletons[0].world_count)
+        a, w = divmod(self.pairs[slot], self.world_count)
         return Point(w, a)
 
     def columns(self, roots: Sequence[Formula], leaves: Mapping[str, list[int]], full: int) -> list[list[int]]:
@@ -388,6 +397,17 @@ class _Frame:
             # ev holds itself through its closure; without this the cycle
             # keeps the pass's columns alive until the cyclic collector runs
             del ev
+
+
+def _embed(sk: _Skeleton, W: int) -> int:
+    """The skeleton's presence mask read from its own pair bits, a * w + u,
+    into those of a frame W worlds wide, a * W + u: the same pairs in the
+    same order."""
+    w, mask = sk.world_count, sk.presence_mask
+    if w == W:
+        return mask
+    row = (1 << w) - 1
+    return sum([(mask >> a * w & row) << a * W for a in range(sk.agent_count)])
 
 
 def _pack(skeletons: Iterable[_Skeleton], nprops: int) -> Iterator[_Frame]:

@@ -23,46 +23,59 @@ TestCanonicalSkeletons::test_pruned_equals_brute_force_oracle checks on
 ORACLE_SHAPES.
 
 Internally the scan groups models by skeleton (counts, presence,
-partitions), and packs each shape's skeletons in order into frames that
-fill one pass of at most 2**16 lanes, whatever their presence; a skeleton
-wider than a pass takes a frame alone and spans several.  It sweeps the
-frames on the column engine of ``awarekit.checker``: each subformula's
-truth at a pair becomes one big integer whose bits, the lanes, say "true
-in this skeleton under this valuation", each skeleton over a segment of
-its own valuations, so the per-skeleton and per-valuation work collapses
-into wide bitwise operations.  Lane order is enumeration order, so the
-lowest failing lane gives the first failing model; a lane fails only at a
-pair its skeleton has.  The witness point is the lowest failing pair in
-agent-major order, and it is re-verified against the reference checker
-before it leaves this module.
+partitions), and packs skeletons in order into frames that fill one pass
+of at most 2**16 lanes, whatever their presence; a skeleton wider than a
+pass takes a frame alone and spans several.  It sweeps the frames on the
+column engine of ``awarekit.checker``: each subformula's truth at a pair
+becomes one big integer whose bits, the lanes, say "true in this skeleton
+under this valuation", each skeleton over a segment of its own
+valuations, so the per-skeleton and per-valuation work collapses into
+wide bitwise operations.  Lane order is enumeration order, so the lowest
+failing lane gives the first failing model, and its skeleton gives the
+witness's shape; a lane fails only at a pair its skeleton has.  The
+witness point is the lowest failing pair in agent-major order, and it is
+re-verified against the reference checker before it leaves this module.
 
-The canonical frames, their block tables and the atom columns of each
-frame that packs several skeletons depend on the shape, the number of
-propositions and the pass width, never on the formula.  So a process
-that decides many formulas at one bound reuses them as a plan per shape,
-and each decision redoes only the formula work: the evaluation, the
-lowest failing lane and the re-verification.  With one proposition each
-shape up to (3,3) fits one pass, so a valid decision at the (3,3) bound
-runs 9 passes; one at (4,3) runs 30, and one at (3,3) over two
-propositions 99.  The first sweep that reaches the end of a shape
-measures its plan in bytes (_Frame.nbytes: the lane masks and atom
-columns, which grow with the lanes of the frames that pack several
-skeletons); the next one keeps the plan if it holds at most _PLAN_BYTES
-(16 MiB).  A full-order sweep always stops at a witness, so it never
-reaches the end of a shape: it streams its frames, and plans are kept of
-canonical skeletons alone.  The plans kept hold at most _PLAN_BYTES in
-all, least recently used out first.  By that measure the plans of the
-(3,3) bound take 0.14 MB with one proposition and 2.8 MB with two, those
-of the (4,3) bound 6.5 MB with one, and those of the (6,2) bound 10.4
-MB; (3,5) over one proposition takes 29 MB and streams, as (5,3) and
-(4,4) do.  A process that decides once keeps nothing, and a sweep that
-stops at a witness keeps nothing of the shape it stopped in.
+A sweep with no kept plan streams: it packs one shape's skeletons at a
+time, as they are enumerated.  Packing across shapes there would
+enumerate a later shape before the earlier one is checked, and a bound
+may be far too large to enumerate past its first shape (a countermodel
+in (1,1) comes back whatever the bound).  The canonical frames, their
+block tables and the atom columns of each frame that packs several
+skeletons depend on the bound, the number of propositions and the pass
+width, never on the formula.  So a process that decides many formulas at
+one bound reuses them as one plan per bound, and each decision redoes
+only the formula work: the evaluation, the lowest failing lane and the
+re-verification.  A plan packs runs of consecutive shapes: a shape joins
+the run before it when that run holds no more lanes than the shape does,
+so small shapes share a pass while the first shapes, where most
+countermodels lie, stay in a small one ((1,1) to (1,3) in a pass of 25
+lanes over one proposition, 111 over two).  Each run is packed like a
+streamed shape, and the frames of a run may hold skeletons of several
+shapes.  With one proposition each world count's shapes up to (3,3) fit
+one pass, so a valid decision at the (3,3) bound runs 3 passes, not one
+per shape; one at (4,3) runs 22, and one at (3,3) over two propositions
+93.  The first streamed sweep that reaches the end of the bound measures
+its frames in bytes (_Frame.nbytes: the lane masks and atom columns,
+which grow with the lanes of the frames that pack several skeletons);
+the next decision builds the plan if that is at most _PLAN_BYTES
+(16 MiB), and keeps it if the plan, measured again, is too.  Building it
+enumerates no more than that earlier sweep did.  A full-order sweep
+always stops at a witness, so it is always streamed, and plans are kept
+of canonical skeletons alone.  The plans kept hold at most _PLAN_BYTES in
+all, least recently used out first.  By that measure the plan of the
+(3,3) bound takes 0.14 MB with one proposition and 2.9 MB with two, that
+of the (4,3) bound 6.5 MB with one, and that of the (6,2) bound 10.4 MB;
+(3,5) over one proposition takes 29 MB and streams, as (5,3) and (4,4)
+do.  A process that decides once keeps nothing, and a sweep that stops
+at a witness measures and keeps nothing of its bound.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import checker
@@ -72,10 +85,11 @@ from .model import (
     Bounds,
     EpistemicModel,
     Point,
-    _iter_skeletons,  # unused here; the benchmark's tracer wraps this name
+    _iter_skeletons,
     _iter_skeletons_wa,
     _materialize,
     _model_count,
+    _Skeleton,
     random_model,
 )
 from .proof import AXIOM_SCHEMAS, NON_TAUT_AXIOMS
@@ -136,46 +150,57 @@ class AtomNotInBoundsError(ValueError):
 
 # ---------- bounded decisions ----------
 
-# canonical plans and shape sizes by (W, A, number of props, _CHUNK_BITS);
-# see the module docstring
+# kept plans and measured sizes by bound: (max worlds, max agents, number
+# of props, _CHUNK_BITS); see the module docstring
 _PLAN_BYTES = 16 << 20
-_sizes: dict[tuple, int] = {}  # key -> _Frame.nbytes of its frames, once swept to the end
+_sizes: dict[tuple, int] = {}  # key -> _Frame.nbytes of the bound's canonical frames
 _plans: dict[tuple, tuple[_Frame, ...]] = {}  # least recently used first
 _plans_lock = threading.Lock()
 
 
-def _frames(worlds: int, agents: int, nprops: int) -> Iterator[_Frame]:
-    """The frames of one (worlds, agents) shape's canonical skeletons in
-    enumeration order: from the shape's kept plan, or else packed as the
-    skeletons stream in.  Only a sweep that reaches the end of the shape
-    records or keeps anything, so one that stops at a witness leaves no
-    partial plan."""
-    key = (worlds, agents, nprops, checker._CHUNK_BITS)
+def _runs(bounds: Bounds, nprops: int) -> Iterator[list[_Skeleton]]:
+    """The bound's canonical skeletons in enumeration order, in runs of
+    consecutive shapes: a shape joins the run before it when that run
+    holds no more lanes than the shape does."""
+    run: list[_Skeleton] = []
+    lanes = 0
+    for _, group in groupby(_iter_skeletons(bounds, True), lambda sk: (sk.world_count, sk.agent_count)):
+        shape = list(group)
+        size = sum([1 << nprops * sk.presence_mask.bit_count() for sk in shape])
+        if run and lanes > size:
+            yield run
+            run, lanes = [], 0
+        run += shape
+        lanes += size
+    yield run
+
+
+def _kept_plan(key: tuple, bounds: Bounds) -> tuple[_Frame, ...] | None:
+    """The bound's plan, its canonical frames packed run by run: the kept
+    one, or one built now if an earlier sweep measured the bound at most
+    _PLAN_BYTES, or None.  A plan built here is kept if it holds at most
+    _PLAN_BYTES, and the plans kept hold that much in all."""
     with _plans_lock:
         plan = _plans.pop(key, None)
         if plan is not None:
             _plans[key] = plan
+            return plan
         size = _sizes.get(key)
-    if plan is not None:
-        yield from plan
-        return
-    keep = size is not None and size <= _PLAN_BYTES
-    frames: list[_Frame] = []
-    count = 0
-    for frame in _pack(_iter_skeletons_wa(worlds, agents, True), nprops):
-        count += frame.nbytes()
-        if keep:
-            frames.append(frame)
-        yield frame
+    if size is None or size > _PLAN_BYTES:
+        return None
+    nprops = len(bounds.props)
+    plan = tuple([frame for run in _runs(bounds, nprops) for frame in _pack(run, nprops)])
+    size = sum([frame.nbytes() for frame in plan])
     with _plans_lock:
-        _sizes[key] = count
-        if keep:
-            _plans[key] = tuple(frames)
+        _sizes[key] = size
+        if size <= _PLAN_BYTES:
+            _plans[key] = plan
             total = sum(_sizes[k] for k in _plans)
             while total > _PLAN_BYTES:
                 oldest = next(iter(_plans))
                 total -= _sizes[oldest]
                 del _plans[oldest]
+    return plan
 
 
 def _sweep(
@@ -205,6 +230,32 @@ def _sweep(
     return checked, None
 
 
+def _canonical_sweep(f: Formula, bounds: Bounds) -> tuple[int, tuple[_Frame, int, int] | None]:
+    """_sweep over the bound's canonical skeletons: through its kept plan,
+    or else streamed shape by shape, since packing past a shape would
+    enumerate later shapes before that one is checked.  A streamed sweep
+    that reaches the end of the bound measures it for _kept_plan."""
+    props, nprops = bounds.props, len(bounds.props)
+    key = (bounds.max_worlds, bounds.max_agents, nprops, checker._CHUNK_BITS)
+    plan = _kept_plan(key, bounds)
+    if plan is not None:
+        return _sweep(f, props, plan)
+    checked = size = 0
+    # nested loops: product() would first turn both ranges into tuples,
+    # which a bound past the C size limit cannot be
+    for w in range(1, bounds.max_worlds + 1):
+        for a in range(1, bounds.max_agents + 1):
+            for frame in _pack(_iter_skeletons_wa(w, a, True), nprops):
+                lanes, hit = _sweep(f, props, (frame,))
+                if hit is not None:
+                    return checked + lanes, hit
+                checked += lanes
+                size += frame.nbytes()
+    with _plans_lock:
+        _sizes.setdefault(key, size)
+    return checked, None
+
+
 def _witness(
     f: Formula, props: tuple[str, ...], frame: _Frame, lane: int, slot: int
 ) -> tuple[EpistemicModel, Point]:
@@ -218,28 +269,27 @@ def _witness(
     return model, point
 
 
-def _scan(
-    f: Formula, bounds: Bounds, prune: bool
-) -> tuple[int, tuple[EpistemicModel, Point] | None]:
+def _scan(f: Formula, bounds: Bounds, prune: bool) -> Verdict:
     props, nprops = bounds.props, len(bounds.props)
-    checked = 0
-    # nested loops: product() would first turn both ranges into tuples,
-    # which a bound past the C size limit cannot be
-    for w in range(1, bounds.max_worlds + 1):
-        for a in range(1, bounds.max_agents + 1):
-            lanes, hit = _sweep(f, props, _frames(w, a, nprops))
-            if hit is None:
-                checked += lanes if prune else _model_count(w, a, nprops)
-                continue
-            if not prune:
-                # a relabeled countermodel is a countermodel, so this
-                # shape's first failing model in full order exists; find it
-                # in a stream of frames, which nothing keeps
-                lanes, hit = _sweep(f, props, _pack(_iter_skeletons_wa(w, a, False), nprops))
-                if hit is None:
-                    raise AssertionError("canonical and full sweeps disagree; please report")
-            return checked + lanes, _witness(f, props, *hit)
-    return checked, None
+    checked, hit = _canonical_sweep(f, bounds)
+    if hit is None:
+        if not prune:
+            checked = sum(
+                _model_count(w, a, nprops)
+                for w in range(1, bounds.max_worlds + 1)
+                for a in range(1, bounds.max_agents + 1)
+            )
+        return ValidUpToBounds(bounds, checked)
+    if not prune:
+        # a relabeled countermodel is a countermodel, so the witness
+        # shape's first failing model in full order exists; find it in a
+        # stream of frames, which nothing keeps
+        frame, lane, _ = hit
+        sk, _ = frame.valuation(lane, nprops)
+        _, hit = _sweep(f, props, _pack(_iter_skeletons_wa(sk.world_count, sk.agent_count, False), nprops))
+        if hit is None:
+            raise AssertionError("canonical and full sweeps disagree; please report")
+    return Countermodel(*_witness(f, props, *hit))
 
 
 def decide_bounded(f: Formula, bounds: Bounds, prune: bool = False) -> Verdict:
@@ -261,10 +311,7 @@ def decide_bounded(f: Formula, bounds: Bounds, prune: bool = False) -> Verdict:
     missing = atoms(f) - set(bounds.props)
     if missing:
         raise AtomNotInBoundsError(missing)
-    checked, hit = _scan(f, bounds, prune)
-    if hit is None:
-        return ValidUpToBounds(bounds, checked)
-    return Countermodel(*hit)
+    return _scan(f, bounds, prune)
 
 
 def find_countermodel(

@@ -337,13 +337,14 @@ class TestChunkedSweep:
         assert fuzz_soundness(3, 11, Bounds(3, 3, ("p", "q")), 3).ok
         assert masks == {-1}
 
-    def test_warm_three_by_three_runs_one_pass_per_shape(self, clear_plans, monkeypatch):
-        # the canonical skeletons of each of the nine shapes up to (3,3)
-        # over p fit one pass, whatever their presence masks
+    def test_warm_three_by_three_runs_three_passes(self, clear_plans, monkeypatch):
+        # the kept plan of the (3,3) bound over p packs the canonical
+        # skeletons of each world count's three shapes, whatever their
+        # presence masks, into one pass: 3 passes, not one per shape
         import awarekit.checker as engine
 
         f, bounds = parse("K p -> p"), Bounds(3, 3, ("p",))
-        for _ in range(3):  # measure every shape, then keep its plan
+        for _ in range(2):  # measure the bound, then keep its plan
             decide_bounded(f, bounds)
         columns = engine._Frame.columns
         calls = []
@@ -354,7 +355,7 @@ class TestChunkedSweep:
 
         monkeypatch.setattr(engine._Frame, "columns", counting)
         assert decide_bounded(f, bounds) == ValidUpToBounds(bounds, 365441)
-        assert len(calls) == 9
+        assert len(calls) == 3
 
 
 class TestMixedPresencePasses:
@@ -470,11 +471,53 @@ class TestEngineAgainstOracle:
         import itertools
 
         import awarekit.checker as engine
-        from awarekit.checker import _eval
-        from awarekit.model import _iter_skeletons_wa, _materialize
+        from awarekit.model import _iter_skeletons_wa
 
         monkeypatch.setattr(engine, "_CHUNK_BITS", bits)
         rng = random.Random(f"{worlds}x{agents}x{len(props)}:{bits}")
+        frames = list(itertools.islice(engine._pack(_iter_skeletons_wa(worlds, agents, True), len(props)), limit))
+        shared = self.check(rng, frames, props, bits)
+        assert shared or bits == 5
+
+    # kept plans, whose frames pack skeletons of several shapes: of one
+    # world count at three agents, of several at two, where a skeleton's
+    # presence is re-encoded into the frame's wider pair bits
+    MIXED = [
+        (2, 3, ("p",), None),
+        (3, 3, ("p",), None),
+        (4, 3, ("p",), 5),
+        (3, 3, ("p", "q"), 4),
+        (3, 2, ("p",), None),
+        (2, 2, ("p", "q"), None),
+    ]
+    MIXED_IDS = ["2x3p", "3x3p", "4x3p-first-frames", "3x3pq-first-frames", "3x2p", "2x2pq"]
+
+    @pytest.mark.parametrize("bits", [9, 16])
+    @pytest.mark.parametrize("worlds,agents,props,limit", MIXED, ids=MIXED_IDS)
+    def test_mixed_shape_kept_frames_equal_eval(self, clear_plans, monkeypatch, worlds, agents, props, limit, bits):
+        import awarekit.checker as engine
+        from awarekit import search
+
+        monkeypatch.setattr(engine, "_CHUNK_BITS", bits)
+        bounds = Bounds(worlds, agents, props)
+        for _ in range(2):  # measure the bound, then keep its plan
+            decide_bounded(parse("K p -> p"), bounds)
+        frames = search._plans[worlds, agents, len(props), bits][:limit]
+        shapes = [{(sk.world_count, sk.agent_count) for sk in frame.skeletons} for frame in frames]
+        assert any(len(shape) > 1 for shape in shapes)
+        if agents == 2:
+            assert any(len({w for w, _ in shape}) > 1 for shape in shapes)
+        for frame, shape in zip(frames, shapes):
+            assert frame.world_count == max(w for w, _ in shape)
+        rng = random.Random(f"mixed {worlds}x{agents}x{len(props)}:{bits}")
+        self.check(rng, frames, props, bits)
+
+    def check(self, rng, frames, props, bits):
+        """Check sampled lanes of the frames against _eval; return whether
+        some frame holds skeletons of several presence masks."""
+        from awarekit.checker import _eval
+        from awarekit.model import _materialize
+
         roots = [self.modal_formula(rng, props, 4) for _ in range(4)]
         nodes, stack = {}, list(roots)
         while stack:
@@ -484,7 +527,6 @@ class TestEngineAgainstOracle:
                 stack += children(node)
         subformulas = list(nodes.values())
         checked, shared = 0, False
-        frames = list(itertools.islice(engine._pack(_iter_skeletons_wa(worlds, agents, True), len(props)), limit))
         per_pass = max(1, self.LANES // sum(max(1, frame.size >> bits) for frame in frames))
         for frame in frames:
             shared |= len({sk.presence_mask for sk in frame.skeletons}) > 1
@@ -507,15 +549,16 @@ class TestEngineAgainstOracle:
                     model = _materialize(sk, masks, props)
                     oracle = {}
                     for slot, t in enumerate(frame.pairs):
-                        if not sk.presence_mask >> t & 1:
+                        # the frame's pair bits are a * W + u, W its widest world count
+                        agent, world = divmod(t, frame.world_count)
+                        if (agent, world) not in model.presence:
                             continue
-                        agent, world = divmod(t, worlds)
                         for node, col in zip(subformulas, cols):
                             got = col[slot] >> (lane - start) & 1
                             assert got == _eval(model, world, agent, node, oracle), (render(node), lane, slot)
                     checked += 1
         assert checked >= 30
-        assert shared or bits == 5
+        return shared
 
 
 class TestCanonicalFirstScan:
@@ -597,19 +640,37 @@ def _witness_shape(verdict):
     return verdict.model.world_count, verdict.model.agent_count
 
 
-def _shape_bytes(worlds, agents, nprops):
-    """_Frame.nbytes summed over a shape's canonical frames, as the plan
-    cap counts them."""
+def _key(bounds):
+    from awarekit.checker import _CHUNK_BITS
+
+    return bounds.max_worlds, bounds.max_agents, len(bounds.props), _CHUNK_BITS
+
+
+def _stream_bytes(bounds):
+    """_Frame.nbytes summed over the bound's canonical frames packed shape
+    by shape, as a streamed sweep measures the bound."""
     from awarekit.checker import _pack
     from awarekit.model import _iter_skeletons_wa
 
-    return sum(frame.nbytes() for frame in _pack(_iter_skeletons_wa(worlds, agents, True), nprops))
+    n = len(bounds.props)
+    shapes = [(w, a) for w in range(1, bounds.max_worlds + 1) for a in range(1, bounds.max_agents + 1)]
+    return sum(frame.nbytes() for w, a in shapes for frame in _pack(_iter_skeletons_wa(w, a, True), n))
+
+
+def _plan_bytes(bounds):
+    """_Frame.nbytes summed over the bound's plan, packed run by run, as
+    the plan cap counts it once the plan is built."""
+    from awarekit.checker import _pack
+    from awarekit.search import _runs
+
+    n = len(bounds.props)
+    return sum(frame.nbytes() for run in _runs(bounds, n) for frame in _pack(run, n))
 
 
 class TestPlanReuse:
-    # decisions at one bound share each (worlds, agents) shape's frames and
-    # pass layouts: a shape is measured by the first sweep that reaches its
-    # end, kept by the next one and reused from then on
+    # decisions at one bound share its frames and pass layouts: a bound is
+    # measured by the first sweep that reaches its end, its plan is built
+    # and kept by the next one and reused from then on
     CASES = [
         ("K p -> p", Bounds(2, 2, ("p",)), False),
         ("D p -> R p", Bounds(2, 2, ("p", "q")), True),  # witness in (2,2), presence 7 of 15
@@ -646,7 +707,7 @@ class TestPlanReuse:
             for i in rounds:
                 text, bounds, prune = self.CASES[i]
                 assert decide_bounded(parse(text), bounds, prune) == want[i], text
-        # each shape a valid case sweeps has now been swept twice, so kept
+        # each bound has now had a valid case swept twice, so its plan is kept
         for i in order:
             text, bounds, prune = self.CASES[i]
             enumerated.clear()
@@ -662,55 +723,107 @@ class TestPlanReuse:
         for _ in range(3):
             v = decide_bounded(f, bounds)
         assert isinstance(v, Countermodel) and _witness_shape(v) == (3, 2)
-        kept = {key[:2] for key in search._plans}
-        # every shape before the witness's is kept; the witness's is neither
-        # kept nor even measured, since no sweep reached its end
-        assert kept == {(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)}
-        assert (3, 2) not in {key[:2] for key in search._sizes}
+        # no sweep reached the end of the bound, so it is neither kept nor
+        # even measured, though the sweeps passed five of its six shapes
+        assert search._plans == {} and search._sizes == {}
+        # a valid decision measures it, and the next decision, refuted or
+        # not, builds its plan, keeps it and finds the same witness there
+        decide_bounded(parse("K p -> p"), bounds)
+        assert search._plans == {} and list(search._sizes) == [_key(bounds)]
+        assert decide_bounded(f, bounds) == v
+        assert list(search._plans) == [_key(bounds)]
+        assert search._sizes[_key(bounds)] == _plan_bytes(bounds)
 
-    @pytest.mark.parametrize("over", ["one-shape-over", "total-over"])
+    @pytest.mark.parametrize("over", ["one-bound-over", "total-over"])
     def test_cap(self, clear_plans, monkeypatch, over):
         from awarekit import search
-        from awarekit.checker import _CHUNK_BITS
 
-        # plain decisions sweep the canonical skeletons of each shape, so
-        # only those plans are measured and kept.  The cap is either below
-        # the bytes of the largest shape of Bounds(2, 3), (2,3), or above
-        # them and below those of all six shapes
-        bounds = Bounds(2, 3, ("p",))
-        sizes = {(w, a): _shape_bytes(w, a, 1) for w in (1, 2) for a in (1, 2, 3)}
-        largest = sizes[2, 3]
-        assert largest == max(sizes.values())
-        cap = largest - 1 if over == "one-shape-over" else largest + sizes[2, 2]
-        assert cap < sum(sizes.values())
+        # plans are measured, kept and evicted whole, one per bound.  The
+        # cap is either below the bytes of the (3,2) bound, so only the
+        # (2,3) bound's plan is kept, or above either bound's and below both
+        # together, so each bound's plan evicts the other's
+        big, small = Bounds(3, 2, ("p",)), Bounds(2, 3, ("p",))
+        stream = {b: _stream_bytes(b) for b in (big, small)}
+        plan = {b: _plan_bytes(b) for b in (big, small)}
+        if over == "one-bound-over":
+            cap = min(stream[big], plan[big]) - 1
+            assert max(stream[small], plan[small]) <= cap
+        else:
+            cap = max(*stream.values(), *plan.values())
+            assert cap < plan[big] + plan[small]
         texts = ["K p -> p", "D p -> R p", "K ~R p -> ~D K p", "R K p -> K R p"]
-        want = []
-        for t in texts:
+        want = {}
+        for b in (small, big):
             clear_plans()
-            want.append(decide_bounded(parse(t), bounds))
+            want[b] = [decide_bounded(parse(t), b) for t in texts]
         clear_plans()
         monkeypatch.setattr(search, "_PLAN_BYTES", cap)
         for _ in range(3):
-            assert [decide_bounded(parse(t), bounds) for t in texts] == want
-        assert search._sizes[2, 3, 1, _CHUNK_BITS] == largest
-        assert set(search._sizes) <= {(w, a, 1, _CHUNK_BITS) for w in (1, 2) for a in (1, 2, 3)}
-        if cap < largest:
-            assert (2, 3) not in {key[:2] for key in search._plans}
+            for b in (small, big):
+                assert [decide_bounded(parse(t), b) for t in texts] == want[b]
+        if over == "one-bound-over":
+            # the big bound is measured by its streamed sweep and never built
+            assert search._sizes == {_key(small): plan[small], _key(big): stream[big]}
+            assert list(search._plans) == [_key(small)]
         else:
-            assert set(search._plans) < set(search._sizes)
-        assert search._plans
+            assert search._sizes == {_key(small): plan[small], _key(big): plan[big]}
+            assert list(search._plans) == [_key(big)]
         assert sum(search._sizes[key] for key in search._plans) <= cap
 
     def test_default_cap_keeps_the_documented_bounds(self):
         from awarekit import search
 
-        # every shape of the (3,3) bound over p and over p,q, and of the
-        # (4,3) bound over p, fits the cap at once: each bound is kept whole
-        for worlds, agents, nprops in [(3, 3, 1), (3, 3, 2), (4, 3, 1)]:
-            total = sum(
-                _shape_bytes(w, a, nprops) for w in range(1, worlds + 1) for a in range(1, agents + 1)
-            )
-            assert total <= search._PLAN_BYTES, (worlds, agents, nprops)
+        # the (3,3) bound over p and over p,q, and the (4,3) bound over p,
+        # fit the cap, as measured when streamed and once built: each is
+        # kept whole
+        for bounds in [Bounds(3, 3, ("p",)), Bounds(3, 3, ("p", "q")), Bounds(4, 3, ("p",))]:
+            assert max(_stream_bytes(bounds), _plan_bytes(bounds)) <= search._PLAN_BYTES, bounds
+
+    # the (3,3) plans, frame by frame: its shapes and its lanes.  Each
+    # world count's shapes make one run, since each shape holds at least
+    # as many lanes as the shapes before it of its world count, and fewer
+    # than all of those of the world count before
+    def test_run_rule_on_the_three_by_three_plans(self, clear_plans):
+        from awarekit import search
+
+        shapes = {w: [(w, a) for a in (1, 2, 3)] for w in (1, 2, 3)}
+        for props, head, passes in [
+            (("p",), [(shapes[1], 25), (shapes[2], 609), (shapes[3], 22193)], 3),
+            (("p", "q"), [(shapes[1], 111), (shapes[2], 22575), (shapes[3], 63727)], 93),
+        ]:
+            bounds = Bounds(3, 3, props)
+            for _ in range(2):  # measure the bound, then keep its plan
+                decide_bounded(parse("K p -> p"), bounds)
+            plan = search._plans[_key(bounds)]
+            layout = [(sorted({(sk.world_count, sk.agent_count) for sk in f.skeletons}), f.size) for f in plan]
+            assert layout[:3] == head, props
+            # over p,q the third run, (3,1) to (3,3), spans 49 frames
+            assert all(frame_shapes[0][0] == 3 for frame_shapes, _ in layout[2:])
+            assert sum(size for _, size in layout[2:]) == (22193 if len(props) == 1 else 5936559)
+            assert len(layout) == (3 if len(props) == 1 else 51)
+            assert sum(1 for frame in plan for _ in frame._passes(len(props))) == passes
+
+    # 50 random formulas at each bound, 200 in all, plain and pruned
+    WARM = [Bounds(2, 3, ("p",)), Bounds(3, 3, ("p",)), Bounds(4, 3, ("p",)), Bounds(3, 3, ("p", "q"))]
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    @pytest.mark.parametrize("bounds", WARM, ids=["2x3p", "3x3p", "4x3p", "3x3pq"])
+    def test_warm_decision_equals_cold(self, bounds, seed):
+        # a decision through the bound's kept plan gives the verdict,
+        # witness and models_checked of one streamed shape by shape
+        from awarekit import search
+
+        if _key(bounds) not in search._plans:
+            for _ in range(2):  # measure the bound, then keep its plan
+                decide_bounded(parse("K p -> p"), bounds)
+        plan = search._plans[_key(bounds)]
+        f = random_formula(random.Random(seed), bounds.props, 4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_kept_plan", lambda key, bounds: None)
+            cold = [decide_bounded(f, bounds, prune) for prune in (False, True)]
+        assert [decide_bounded(f, bounds, prune) for prune in (False, True)] == cold, render(f)
+        assert search._plans[_key(bounds)] is plan
 
     def test_concurrent_decisions_agree(self, clear_plans, monkeypatch):
         # threads share the plans; a small cap makes them evict each other's
@@ -720,16 +833,20 @@ class TestPlanReuse:
         from awarekit import search
 
         cases = [
-            ("K p -> p", Bounds(2, 2, ("p",)), False),
-            ("D p -> R p", Bounds(2, 2, ("p",)), True),
-            ("K ~R p -> ~D K p", Bounds(2, 3, ("p",)), False),
+            ("K p -> p", Bounds(2, 3, ("p",)), False),
+            ("D p -> R p", Bounds(2, 3, ("p",)), True),
+            ("K ~R p -> ~D K p", Bounds(3, 2, ("p",)), False),
+            ("K p -> p", Bounds(3, 2, ("p",)), True),
         ]
         want = []
         for text, bounds, prune in cases:
             clear_plans()
             want.append(decide_bounded(parse(text), bounds, prune))
         clear_plans()
-        cap = _shape_bytes(2, 3, 1) + _shape_bytes(2, 2, 1)
+        # room for either bound's plan, not both
+        bounds = [Bounds(2, 3, ("p",)), Bounds(3, 2, ("p",))]
+        cap = max(max(_stream_bytes(b), _plan_bytes(b)) for b in bounds)
+        assert cap < sum(_plan_bytes(b) for b in bounds)
         monkeypatch.setattr(search, "_PLAN_BYTES", cap)
         wrong: list = []
 

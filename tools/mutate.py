@@ -81,8 +81,8 @@ MUTANTS = [
         "four-props-valid",
         "decide_bounded answers valid whenever the bounds have 4 or more propositions",
         "search.py",
-        "    if hit is None:\n        return ValidUpToBounds(bounds, checked)",
-        "    if hit is None or len(bounds.props) >= 4:\n        return ValidUpToBounds(bounds, checked)",
+        "    if hit is None:\n        if not prune:",
+        "    if hit is None or len(props) >= 4:\n        if not prune:",
         SEARCH_TESTS,
     ),
     (
@@ -111,10 +111,42 @@ MUTANTS = [
     ),
     (
         "no-plan-cap",
-        "a shape's plan is kept however many bytes it holds",
+        "a bound's plan is built however many bytes its streamed sweep measured",
         "search.py",
-        "    keep = size is not None and size <= _PLAN_BYTES",
-        "    keep = size is not None",
+        "    if size is None or size > _PLAN_BYTES:",
+        "    if size is None:",
+        SEARCH_TESTS,
+    ),
+    (
+        "embed-own-width",
+        "a skeleton's presence is read in its own world width, not the frame's",
+        "checker.py",
+        "    if w == W:\n        return mask\n",
+        "    return mask\n",
+        SEARCH_TESTS,
+    ),
+    (
+        "point-first-skeleton-width",
+        "a slot's point is read in the world width of the frame's first skeleton",
+        "checker.py",
+        "        a, w = divmod(self.pairs[slot], self.world_count)",
+        "        a, w = divmod(self.pairs[slot], self.skeletons[0].world_count)",
+        SEARCH_TESTS,
+    ),
+    (
+        "witness-shape-of-first-skeleton",
+        "a plain decision sweeps in full order the shape of the failing frame's first skeleton",
+        "search.py",
+        "        sk, _ = frame.valuation(lane, nprops)\n",
+        "        sk = frame.skeletons[0]\n",
+        SEARCH_TESTS,
+    ),
+    (
+        "run-rule-inverted",
+        "a shape joins the run before it when that run holds more lanes than the shape does",
+        "search.py",
+        "        if run and lanes > size:",
+        "        if run and lanes <= size:",
         SEARCH_TESTS,
     ),
     (
