@@ -318,10 +318,12 @@ class _Frame:
         leaves maps names to columns per slot, and every Atom and MetaVar
         reads its name there: a proposition it lacks is false everywhere,
         and a metavariable it lacks raises ValueError.  Each distinct node
-        is evaluated once per call, and nothing is kept across calls.
+        is evaluated once per call, and nothing is kept across calls.  false
+        and a proposition leaves lacks read one shared zero column, and ~ of
+        it is one shared column of full at every slot.
         """
         m = self.m
-        zero = [0] * m
+        zero, ones = [0] * m, [full] * m
         memo: dict[int, list[int]] = {}
         cut: list[int] = []  # per slot, the lanes where it is present, once a D needs it
 
@@ -346,7 +348,8 @@ class _Frame:
             elif kind is Falsum:
                 out = zero
             elif kind is Not:
-                out = [full ^ c for c in ev(node.child)]
+                child = ev(node.child)
+                out = ones if child is zero else [full ^ c for c in child]
             elif kind is Implies:
                 left, right = ev(node.left), ev(node.right)
                 out = [(full ^ l) | r for l, r in zip(left, right)]

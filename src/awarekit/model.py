@@ -439,11 +439,17 @@ def _canonical_skeletons(worlds: int, agents: int) -> Iterator[_Skeleton]:
                     yield _Skeleton(worlds, agents, mask, combo)
 
 
-def _iter_skeletons_wa(worlds: int, agents: int, prune: bool = False) -> Iterator[_Skeleton]:
+def _iter_skeletons_wa(
+    worlds: int, agents: int, prune: bool = False, mask: int | None = None
+) -> Iterator[_Skeleton]:
+    """The shape's skeletons in enumeration order: the canonical ones with
+    prune, otherwise all of them, or with mask only those of that presence
+    mask, each agent's row partitioned every way."""
     if prune:
         yield from _canonical_skeletons(worlds, agents)
         return
-    for mask in range(1 << (agents * worlds)):
+    masks = range(1 << (agents * worlds)) if mask is None else (mask,)
+    for mask in masks:
         rows = [
             tuple(w for w in range(worlds) if mask >> _pair_bit(a, w, worlds) & 1)
             for a in range(agents)

@@ -14,13 +14,29 @@ its canonical skeletons, the least of each relabeling orbit, does.  The
 scan therefore sweeps each shape's canonical skeletons first, which is all
 prune=True ever sweeps.  Where none fails, a plain decision adds the
 shape's closed-form model count (model._model_count) without sweeping it.
-Where one fails, a plain decision sweeps that shape again in full order up
-to its first failing model, and no later shape at all.  Verdicts,
-witnesses and counts are those of the full ordered scan, and a plain valid
-verdict costs what a pruned one does.  It rests on the canonical skeletons
-covering every orbit, which
+Where one fails, first at skeleton c, the first failing model in full
+order lies in a skeleton F no later than c, and F's representative, which
+fails too, lies no earlier than c.  The canonical skeletons are the full
+order filtered, both orders sort by presence mask first, and a
+representative has the least mask of its orbit; so F has c's mask.  A
+plain decision sweeps that mask's skeletons again in full order up to c,
+and nothing when c is the mask's first, as it is in every (1, a) shape.
+Verdicts, witnesses and counts are those of the full ordered scan, and a
+plain valid verdict costs what a pruned one does.  It rests on the
+canonical skeletons covering every orbit, which
 TestCanonicalSkeletons::test_pruned_equals_brute_force_oracle checks on
 ORACLE_SHAPES.
+
+The sweeps evaluate syntax._fold_constants(f), not f: f with false and
+true folded out, which is false, true, or free of false, and equal to f
+at every present point of every model.  So the fold changes no lane's
+verdict, and the promise to claim no more than was checked holds: every
+frame and every pass is still swept and evaluated, a fold to true
+included, and models_checked is the same.  Only the work per pass falls,
+since ~ of the shared zero column is one shared all-ones column, and a
+pass whose root columns are all full needs no failure check.  A formula
+with no false is swept as it is.  A witness is re-verified against f
+itself, so the reference checker stays independent of the fold.
 
 Internally the scan groups models by skeleton (counts, presence,
 partitions), and packs skeletons in order into frames that fill one pass
@@ -104,6 +120,7 @@ from .syntax import (
     Know,
     Not,
     Or,
+    _fold_constants,
     atoms,
     instantiate,  # unused here; the benchmark's tracer wraps this name
     metavariables,
@@ -217,6 +234,8 @@ def _sweep(
         gaps = frame.absent
         for start, full, atoms in frame._passes(len(props)):
             [result] = frame.columns([f], dict(zip(props, atoms)), full)
+            if result.count(full) == len(result):
+                continue  # true in every lane at every slot, as a folded true is
             # a lane fails where f is false at a slot its skeleton has
             ok = full
             for c, gap in zip(result, gaps):
@@ -271,7 +290,10 @@ def _witness(
 
 def _scan(f: Formula, bounds: Bounds, prune: bool) -> Verdict:
     props, nprops = bounds.props, len(bounds.props)
-    checked, hit = _canonical_sweep(f, bounds)
+    # the sweeps evaluate the folded formula; the witness is re-verified
+    # against f itself
+    g = _fold_constants(f)
+    checked, hit = _canonical_sweep(g, bounds)
     if hit is None:
         if not prune:
             checked = sum(
@@ -281,14 +303,21 @@ def _scan(f: Formula, bounds: Bounds, prune: bool) -> Verdict:
             )
         return ValidUpToBounds(bounds, checked)
     if not prune:
-        # a relabeled countermodel is a countermodel, so the witness
-        # shape's first failing model in full order exists; find it in a
-        # stream of frames, which nothing keeps
+        # the first failing model in full order has the canonical witness
+        # skeleton's presence mask and lies no later than that skeleton
+        # (see the module docstring): sweep the mask's skeletons up to it,
+        # in frames that nothing keeps, unless it is the mask's first
         frame, lane, _ = hit
         sk, _ = frame.valuation(lane, nprops)
-        _, hit = _sweep(f, props, _pack(_iter_skeletons_wa(sk.world_count, sk.agent_count, False), nprops))
-        if hit is None:
-            raise AssertionError("canonical and full sweeps disagree; please report")
+        before = []
+        for other in _iter_skeletons_wa(sk.world_count, sk.agent_count, False, sk.presence_mask):
+            if other.partitions == sk.partitions:
+                break
+            before.append(other)
+        if before:
+            _, hit = _sweep(g, props, _pack([*before, sk], nprops))
+            if hit is None:
+                raise AssertionError("canonical and full sweeps disagree; please report")
     return Countermodel(*_witness(f, props, *hit))
 
 
@@ -303,10 +332,11 @@ def decide_bounded(f: Formula, bounds: Bounds, prune: bool = False) -> Verdict:
     inputs always give the same verdict.
 
     Both kinds sweep each shape's canonical skeletons, one per relabeling
-    orbit.  A plain decision sweeps in full order only the shape where one
-    of them fails, and counts each shape without a countermodel in closed
-    form, so its verdict, witness and count are those of the full ordered
-    scan (see the module docstring).
+    orbit.  Where one of them fails, a plain decision sweeps in full order
+    only the skeletons of its presence mask up to it, and it counts each
+    shape without a countermodel in closed form, so its verdict, witness
+    and count are those of the full ordered scan (see the module
+    docstring).
     """
     missing = atoms(f) - set(bounds.props)
     if missing:

@@ -685,6 +685,62 @@ def modal_depth(f: Formula) -> int:
     return depth[-1]
 
 
+def _fold_constants(f: Formula) -> Formula:
+    """f with false and true folded out: FALSE, TRUE (~false), or a formula
+    with no false in it, equal to f at every present point of every model.
+    A fold over the program of f, so it takes any nesting.
+
+    false is the constant falsehood, ~ flips a constant, and &, | and ->
+    drop or absorb a constant operand by the Boolean identities (l -> false
+    is ~l).  K, R and D keep true as true and false as false.  At a present
+    point (a, w) the block of a at w holds w, and a is present at every
+    world of its block: so K and D range over a block that is never empty,
+    a is its own R candidate at w, and a is its own D witness at each world
+    of the block.  Each of them reads its operand only at present points,
+    so equality there is all the fold needs.
+
+    A formula with no false, and a schema (a formula with a metavariable),
+    comes back as the same object: the engine then does exactly the work
+    it would do on f, and still raises on an unbound metavariable.  Where
+    the fold keeps a subtree unchanged, it keeps that node.
+    """
+    entries, _, nodes = _program([f])
+    kinds = {entry[0] for entry in entries}
+    if Falsum not in kinds or MetaVar in kinds:
+        return f
+    folded: list[Formula] = []  # per entry; a constant is FALSE or TRUE itself
+    for (kind, *args), node in zip(entries, nodes):
+        if kind not in _OPERATORS:
+            folded.append(FALSE if kind is Falsum else node)
+            continue
+        sub = [folded[c] for c in args]
+        out = None
+        if kind in _BINARY:
+            left, right = sub
+            if kind is And:
+                if left is FALSE or right is FALSE:
+                    out = FALSE
+                elif left is TRUE or right is TRUE:
+                    out = right if left is TRUE else left
+            elif kind is Or:
+                if left is TRUE or right is TRUE:
+                    out = TRUE
+                elif left is FALSE or right is FALSE:
+                    out = right if left is FALSE else left
+            elif left is FALSE or right is TRUE:  # Implies
+                out = TRUE
+            elif left is TRUE:
+                out = right
+            elif right is FALSE:
+                out = Not(left)
+        elif sub[0] is TRUE or sub[0] is FALSE:
+            out = (TRUE if sub[0] is FALSE else FALSE) if kind is Not else sub[0]
+        if out is None:
+            out = node if all(s is nodes[c] for s, c in zip(sub, args)) else kind(*sub)
+        folded.append(out)
+    return folded[-1]
+
+
 MAX_TAUTOLOGY_VARIABLES = 20
 _UNITS = (Know, DeRe, DeDicto, Atom, MetaVar)
 _CHUNK_BITS = 16  # at most 2**16 valuations, or lanes, evaluated per pass

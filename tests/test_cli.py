@@ -525,6 +525,14 @@ class TestUsage:
         code, out, err = run(capsys, *(arg.format(deep=deep) for arg in argv))
         assert (code, out, err) == (2, "", "error: formula is nested too deeply\n")
 
+    def test_a_constant_formula_gets_its_verdict_at_any_depth(self, capsys):
+        # the sweeps evaluate the folded formula, true here; a refuted one
+        # is re-verified against the formula as given, which recurses
+        code, out, err = run(capsys, "valid", "~" * 3001 + "false", "--max-worlds", "1", "--max-agents", "1")
+        assert (code, out, err) == (0, "valid up to bounds (3 models)\n", "")
+        deep = ("valid", "~" * 3000 + "false", "--max-worlds", "1", "--max-agents", "1")
+        assert run(capsys, *deep) == (2, "", "error: formula is nested too deeply\n")
+
     def test_prove_takes_any_nesting(self, tmp_path, capsys):
         text = "~" * 10_000 + "p | " + "~" * 10_001 + "p"
         proof = tmp_path / "deep.proof"

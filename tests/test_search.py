@@ -622,6 +622,127 @@ class TestCanonicalFirstScan:
             assert max(args[:2] for args in enumerated) == shape
 
 
+class TestWitnessMaskSweep:
+    """A plain refutation sweeps in full order only the canonical witness
+    skeleton's presence mask, up to that skeleton, and gives the witness
+    the whole shape's full-order sweep gives."""
+
+    # each fails first in full order in a skeleton before the canonical
+    # witness skeleton, and the first three hold false for the fold
+    TEXTS = [
+        ("R R p -> (K p | (false -> false)) & R p", ("p",)),
+        ("R R q -> (K q | (false -> false)) & R q", ("p", "q")),
+        ("R (~false & (false & p) | R D p) -> D R R (false | p)", ("p",)),
+        ("D p | ~R K p", ("p",)),
+        ("R D p -> D p", ("p",)),
+        ("R p | ~K R R p", ("p",)),
+    ]
+
+    def whole_shape(self, f, bounds):
+        """The canonical witness skeleton c, and the first failing model of
+        c's whole shape in full order as a Countermodel."""
+        from awarekit import search
+        from awarekit.checker import _pack
+        from awarekit.model import _iter_skeletons_wa
+
+        g, n = search._fold_constants(f), len(bounds.props)
+        _, (frame, lane, _) = search._canonical_sweep(g, bounds)
+        c, _ = frame.valuation(lane, n)
+        _, hit = search._sweep(g, bounds.props, _pack(_iter_skeletons_wa(c.world_count, c.agent_count), n))
+        return c, Countermodel(*search._witness(f, bounds.props, *hit))
+
+    @pytest.mark.parametrize("text,props", TEXTS)
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)], ids=["3x3", "2x3"])
+    def test_resweeps_the_mask_up_to_the_canonical_witness(self, monkeypatch, text, props, shape):
+        from awarekit import search
+        from awarekit.model import _iter_skeletons_wa
+
+        bounds = Bounds(*shape, props)
+        f = parse(text)
+        c, want = self.whole_shape(f, bounds)
+        packed = []
+        pack = search._pack
+
+        def recording(skeletons, nprops):
+            packed.append(list(skeletons))
+            return pack(packed[-1], nprops)
+
+        monkeypatch.setattr(search, "_pack", recording)
+        assert decide_bounded(f, bounds) == want
+        mask = list(_iter_skeletons_wa(c.world_count, c.agent_count, False, c.presence_mask))
+        assert packed[-1] == mask[: mask.index(c) + 1]
+        assert len(packed[-1]) > 1
+
+    @pytest.mark.parametrize("bounds", [Bounds(3, 3, ("p", "q")), Bounds(3, 3, ("p",)), Bounds(4, 2, ("p",))])
+    def test_equals_the_whole_shape_sweep(self, bounds):
+        # formulas valid at (1,1), so that most witnesses lie past it
+        checked = 0
+        for seed in range(3000):
+            f = random_formula(random.Random(seed), bounds.props, 4)
+            if isinstance(decide_bounded(f, Bounds(1, 1, bounds.props)), Countermodel):
+                continue
+            got = decide_bounded(f, bounds)
+            if isinstance(got, Countermodel):
+                assert got == self.whole_shape(f, bounds)[1], render(f)
+                checked += 1
+        assert checked >= 30
+
+
+class TestConstantFold:
+    """The sweeps evaluate _fold_constants(f), which is f unless f holds
+    false; verdicts, witnesses and counts are those of sweeping f."""
+
+    BOUNDS = [Bounds(2, 2, ("p", "q")), Bounds(3, 3, ("p",)), Bounds(3, 2, ("p",)), Bounds(3, 3, ("p", "q"))]
+
+    # 50 random formulas at each bound, 200 in all, about half of whose
+    # leaves are false
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    @pytest.mark.parametrize("bounds", BOUNDS, ids=["2x2pq", "3x3p", "3x2p", "3x3pq"])
+    def test_equals_sweeping_the_formula_itself(self, bounds, seed):
+        from awarekit import search
+
+        f = random_formula(random.Random(seed), bounds.props, 4)
+        if _key(bounds) not in search._plans:
+            for _ in range(2):  # measure the bound, then keep its plan
+                decide_bounded(parse("K p -> p"), bounds)
+
+        def decisions():
+            warm = [decide_bounded(f, bounds, prune) for prune in (False, True)]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_kept_plan", lambda key, bounds: None)
+                cold = [decide_bounded(f, bounds, prune) for prune in (False, True)]
+            return warm + cold
+
+        got = decisions()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_fold_constants", lambda f: f)
+            want = decisions()
+        assert got == want, render(f)
+        assert got[:2] == got[2:]
+
+    def test_a_folded_true_is_evaluated_on_every_pass(self, clear_plans, monkeypatch):
+        # no early return: each of the plan's 93 passes evaluates true, to
+        # a column of full at every slot
+        from awarekit import search
+        from awarekit.checker import _Frame
+
+        bounds = Bounds(3, 3, ("p", "q"))
+        for _ in range(2):
+            want = decide_bounded(parse("K p -> p"), bounds)
+        calls = []
+        columns = _Frame.columns
+
+        def counting(frame, roots, leaves, full):
+            out = columns(frame, roots, leaves, full)
+            calls.append([c == full for c in out[0]])
+            return out
+
+        monkeypatch.setattr(_Frame, "columns", counting)
+        assert decide_bounded(parse("K (false & q | false) -> K R p"), bounds) == want
+        assert len(calls) == 93 and all(all(full) for full in calls)
+
+
 @pytest.fixture
 def clear_plans():
     """Forget every kept plan and shape size, before and after the test."""

@@ -33,7 +33,7 @@ from awarekit.syntax import (
     subformula_closure,
 )
 from awarekit.proof import ProofFileError, parse_proof
-from awarekit.syntax import _LONG_TEXT, _program, _same_trees
+from awarekit.syntax import TRUE, _LONG_TEXT, _fold_constants, _program, _rebuild, _same_trees
 
 from conftest import formulas
 
@@ -653,6 +653,78 @@ class TestProgram:
     def test_tower_shares_each_level(self):
         entries, _, _ = _program([awareness_tower(P, 40)])
         assert len(entries) == 1 + 3 * 40
+
+
+class TestFoldConstants:
+    """_fold_constants gives FALSE, TRUE or a formula with no false, equal
+    to f at every present point of every model."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(max_depth=4), st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3))
+    def test_equals_the_formula_at_every_present_point(self, f, seed, worlds, agents):
+        # random_formula puts false at about half of its leaves
+        from awarekit.checker import satisfies_naive
+        from awarekit.model import Bounds, random_model
+
+        g = _fold_constants(f)
+        m = random_model(seed, Bounds(worlds, agents, ("p", "q")))
+        for pt in m.points():
+            assert satisfies_naive(m, pt, g) == satisfies_naive(m, pt, f), (render(f), render(g), pt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(max_depth=4))
+    def test_a_constant_or_free_of_false_and_folded_once(self, f):
+        g = _fold_constants(f)
+        assert g is FALSE or g is TRUE or all(e[0] is not Falsum for e in _program([g])[0])
+        assert _fold_constants(g) is g
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("K (false & q | false) -> K R p", "true"),
+            ("true", "true"),
+            ("~~false", "false"),
+            ("p -> false", "~p"),
+            ("false -> p", "true"),
+            ("p -> true", "true"),
+            ("true -> p", "p"),
+            ("p & true", "p"),
+            ("false & p", "false"),
+            ("p | false", "p"),
+            ("true | p", "true"),
+            ("K false | R true -> D false", "false"),
+            ("K true & R true & D true", "true"),
+            ("D (p | ~false) & (q -> false)", "~q"),
+        ],
+    )
+    def test_rules(self, text, want):
+        assert _fold_constants(parse(text)) == parse(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(max_depth=4))
+    def test_no_false_or_a_metavariable_gives_the_same_object(self, f):
+        # f with each false read as p; a schema keeps its metavariables for
+        # the engine to raise on
+        entries, _, nodes = _program([f])
+        free = _rebuild(entries, [P if e[0] is Falsum else n for e, n in zip(entries, nodes)])
+        schema = And(f, MetaVar("PHI"))
+        assert _fold_constants(free) is free
+        assert _fold_constants(schema) is schema
+
+    def test_keeps_the_nodes_it_does_not_change(self):
+        kept = parse("K (p -> R q)")
+        f = Or(And(kept, TRUE), Falsum())
+        assert _fold_constants(f) is kept
+
+    @pytest.mark.parametrize("link", [Not, Know, DeRe, DeDicto])
+    def test_deep_chains_fold_without_recursion(self, link):
+        # far past the recursion limit; an even number of ~ flips nothing
+        for leaf in (FALSE, TRUE):
+            f = leaf
+            for _ in range(10_000):
+                f = link(f)
+            assert _fold_constants(f) is leaf
+            assert _fold_constants(Not(f)) is (FALSE if leaf is TRUE else TRUE)
 
 
 class TestClosure:

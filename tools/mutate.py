@@ -150,6 +150,30 @@ MUTANTS = [
         SEARCH_TESTS,
     ),
     (
+        "sweep-skips-on-one-full-slot",
+        "a pass is taken as passing when one slot's column, not every one, is full",
+        "search.py",
+        "            if result.count(full) == len(result):",
+        "            if full in result:",
+        SEARCH_TESTS,
+    ),
+    (
+        "resweep-skips-canonical-witness",
+        "the full-order sweep of the witness mask stops before the canonical witness skeleton",
+        "search.py",
+        "            _, hit = _sweep(g, props, _pack([*before, sk], nprops))",
+        "            _, hit = _sweep(g, props, _pack(before, nprops))",
+        SEARCH_TESTS,
+    ),
+    (
+        "resweep-dropped",
+        "a plain refutation takes the canonical sweep's witness",
+        "search.py",
+        "        if before:",
+        "        if False:",
+        SEARCH_TESTS,
+    ),
+    (
         "d-reads-absent",
         "D counts inhabitants that are absent in the lane's skeleton",
         "checker.py",
@@ -279,6 +303,30 @@ MUTANTS = [
         "syntax.py",
         "    for high in range(1 << (n - low)):",
         "    for high in range(1):",
+        SYNTAX_TESTS,
+    ),
+    (
+        "fold-and-keeps-false-side",
+        "the fold leaves an & with one false operand as it is",
+        "syntax.py",
+        "                if left is FALSE or right is FALSE:",
+        "                if left is FALSE and right is FALSE:",
+        SYNTAX_TESTS,
+    ),
+    (
+        "fold-implies-false-keeps-antecedent",
+        "the fold turns l -> false into l, not ~l",
+        "syntax.py",
+        "                out = Not(left)",
+        "                out = left",
+        SYNTAX_TESTS,
+    ),
+    (
+        "fold-modal-flips-constant",
+        "the fold flips a constant under K, R and D as it does under ~",
+        "syntax.py",
+        "            out = (TRUE if sub[0] is FALSE else FALSE) if kind is Not else sub[0]",
+        "            out = TRUE if sub[0] is FALSE else FALSE",
         SYNTAX_TESTS,
     ),
     (
