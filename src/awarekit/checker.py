@@ -144,14 +144,13 @@ def _valuation_bit(nprops: int, p: int, m: int, k: int) -> int:
 
 
 class _Frame:
-    """The column engine over consecutive skeletons of any (worlds, agents)
-    shapes and presence masks.
+    """The column engine over consecutive skeletons of one world count, of
+    any agent counts and presence masks.
 
-    The frame numbers pairs a * W + u, W its skeletons' largest world
-    count (world_count), and reads each skeleton's presence there: the
-    skeleton's own pair bits, a * w + u, in the same order (_embed).  Slot
-    i is the i-th pair, in ascending pair-bit order (agent-major (agent,
-    world) order), that some skeleton of the frame has present, and
+    The frame numbers pairs a * W + u, W the world count its skeletons
+    share (world_count), so each skeleton's own pair bits are the frame's.
+    Slot i is the i-th pair, in ascending pair-bit order (agent-major
+    (agent, world) order), that some skeleton of the frame has present, and
     worlds[u] holds the slots at world u.  Skeleton i owns the segment of
     2**(nprops * m_i) lanes from starts[i], where m_i is its own number of
     present pairs: lane starts[i] + v stands for it under valuation v,
@@ -186,12 +185,11 @@ class _Frame:
 
     def __init__(self, skeletons: Sequence[_Skeleton], nprops: int):
         self.skeletons = skeletons = tuple(skeletons)
-        self.world_count = W = max([sk.world_count for sk in skeletons])
+        self.world_count = W = skeletons[0].world_count
         A = max([sk.agent_count for sk in skeletons])
-        # each skeleton's presence in the frame's pair bits, a * W + u
-        embedded = [_embed(sk, W) for sk in skeletons]
         union, size, starts = 0, 0, []
-        for mask in embedded:
+        for sk in skeletons:
+            mask = sk.presence_mask
             union |= mask
             starts.append(size)
             size += 1 << nprops * mask.bit_count()
@@ -208,9 +206,9 @@ class _Frame:
         ends = (*starts, size)
         mask = None
         for i, sk in enumerate(skeletons):
-            if embedded[i] != mask:
+            if sk.presence_mask != mask:
                 runs.append(i)
-                mask = embedded[i]
+                mask = sk.presence_mask
                 rows = [mask >> a * W & ((1 << W) - 1) for a in range(A)]
             lo, hi = ends[i], ends[i + 1]
             for a, part in enumerate(sk.partitions):
@@ -257,7 +255,7 @@ class _Frame:
         for i, j in zip(runs, [*runs[1:], len(skeletons)]):
             start = starts[i]
             ones = (1 << (ends[j] - start)) - 1
-            own = [slot_of[t] for t in range(embedded[i].bit_length()) if embedded[i] >> t & 1]
+            own = [slot_of[t] for t in skeletons[i].pair_bits()]
             for k, s in enumerate(own):
                 present[s] |= ones << start
                 for p in range(nprops):
@@ -402,21 +400,11 @@ class _Frame:
             del ev
 
 
-def _embed(sk: _Skeleton, W: int) -> int:
-    """The skeleton's presence mask read from its own pair bits, a * w + u,
-    into those of a frame W worlds wide, a * W + u: the same pairs in the
-    same order."""
-    w, mask = sk.world_count, sk.presence_mask
-    if w == W:
-        return mask
-    row = (1 << w) - 1
-    return sum([(mask >> a * w & row) << a * W for a in range(sk.agent_count)])
-
-
 def _pack(skeletons: Iterable[_Skeleton], nprops: int) -> Iterator[_Frame]:
-    """Frames of the skeletons in order, packed greedily: each frame takes
-    the next skeletons while their lanes fit one pass of 2**_CHUNK_BITS,
-    and a skeleton wider than that takes a frame alone."""
+    """Frames of the skeletons, all of one world count, in order, packed
+    greedily: each frame takes the next skeletons while their lanes fit
+    one pass of 2**_CHUNK_BITS, and a skeleton wider than that takes a
+    frame alone."""
     width = 1 << _CHUNK_BITS
     group: list[_Skeleton] = []
     lanes = 0

@@ -52,39 +52,35 @@ witness's shape; a lane fails only at a pair its skeleton has.  The
 witness point is the lowest failing pair in agent-major order, and it is
 re-verified against the reference checker before it leaves this module.
 
-A sweep with no kept plan streams: it packs one shape's skeletons at a
-time, as they are enumerated.  Packing across shapes there would
-enumerate a later shape before the earlier one is checked, and a bound
-may be far too large to enumerate past its first shape (a countermodel
-in (1,1) comes back whatever the bound).  The canonical frames, their
-block tables and the atom columns of each frame that packs several
-skeletons depend on the bound, the number of propositions and the pass
-width, never on the formula.  So a process that decides many formulas at
-one bound reuses them as one plan per bound, and each decision redoes
-only the formula work: the evaluation, the lowest failing lane and the
-re-verification.  A plan packs runs of consecutive shapes: a shape joins
-the run before it when that run holds no more lanes than the shape does,
-so small shapes share a pass while the first shapes, where most
-countermodels lie, stay in a small one ((1,1) to (1,3) in a pass of 25
-lanes over one proposition, 111 over two).  Each run is packed like a
-streamed shape, and the frames of a run may hold skeletons of several
-shapes.  With one proposition each world count's shapes up to (3,3) fit
-one pass, so a valid decision at the (3,3) bound runs 3 passes, not one
-per shape; one at (4,3) runs 22, and one at (3,3) over two propositions
-93.  The first streamed sweep that reaches the end of the bound measures
-its frames in bytes (_Frame.nbytes: the lane masks and atom columns,
-which grow with the lanes of the frames that pack several skeletons);
-the next decision builds the plan if that is at most _PLAN_BYTES
-(16 MiB), and keeps it if the plan, measured again, is too.  Building it
-enumerates no more than that earlier sweep did.  A full-order sweep
-always stops at a witness, so it is always streamed, and plans are kept
-of canonical skeletons alone.  The plans kept hold at most _PLAN_BYTES in
-all, least recently used out first.  By that measure the plan of the
-(3,3) bound takes 0.14 MB with one proposition and 2.9 MB with two, that
-of the (4,3) bound 6.5 MB with one, and that of the (6,2) bound 10.4 MB;
-(3,5) over one proposition takes 29 MB and streams, as (5,3) and (4,4)
-do.  A process that decides once keeps nothing, and a sweep that stops
-at a witness measures and keeps nothing of its bound.
+A sweep packs each world count's canonical skeletons as one run, and
+packs the run in order into frames (_frames).  The grouping and the
+packing are both lazy, so a sweep enumerates at most one pass of
+skeletons, and one skeleton more, past what it has checked, and a bound
+far too large to enumerate past its first shape still returns a
+countermodel in (1,1).  A frame never mixes world counts, so the pair
+bits of its skeletons are its own.  With one proposition each world
+count's shapes up to (3,3) fit one pass, so a valid decision at the (3,3)
+bound runs 3 passes, not one per shape; one at (4,3) runs 22, and one at
+(3,3) over two propositions 93.
+
+The canonical frames, their block tables and the atom columns of each
+frame that packs several skeletons depend on the bound, the number of
+propositions and the pass width, never on the formula.  So the first
+sweep that reaches the end of a bound keeps the frames it built as the
+bound's plan, if they take at most _PLAN_BYTES (16 MiB) in all by
+_Frame.nbytes: the lane masks and atom columns, which grow with the lanes
+of the frames that pack several skeletons.  It stops collecting them
+once they pass that.  Every later decision at the bound sweeps its plan
+and redoes only the formula work: the evaluation, the lowest failing
+lane and the re-verification.  A sweep that stops at a witness keeps
+nothing of its bound; a full-order sweep always stops at one, so plans
+are kept of canonical skeletons alone.  The plans kept hold at most
+_PLAN_BYTES in all, least recently used out first.  By that measure the
+plan of the (3,3) bound takes 0.14 MB with one proposition and 2.9 MB
+with two, that of the (4,3) bound 6.5 MB with one, and that of the (6,2)
+bound 10.4 MB; (3,5) over one proposition takes 29 MB and streams, as
+(5,3) and (4,4) do, each holding up to _PLAN_BYTES of frames before it
+stops collecting them.
 """
 
 from __future__ import annotations
@@ -105,7 +101,6 @@ from .model import (
     _iter_skeletons_wa,
     _materialize,
     _model_count,
-    _Skeleton,
     random_model,
 )
 from .proof import AXIOM_SCHEMAS, NON_TAUT_AXIOMS
@@ -120,8 +115,8 @@ from .syntax import (
     Know,
     Not,
     Or,
-    _fold_constants,
-    atoms,
+    _fold_program,
+    _program,
     instantiate,  # unused here; the benchmark's tracer wraps this name
     metavariables,
 )
@@ -167,57 +162,20 @@ class AtomNotInBoundsError(ValueError):
 
 # ---------- bounded decisions ----------
 
-# kept plans and measured sizes by bound: (max worlds, max agents, number
-# of props, _CHUNK_BITS); see the module docstring
+# kept plans by bound, (max worlds, max agents, number of props,
+# _CHUNK_BITS) -> (frames, their _Frame.nbytes); see the module docstring
 _PLAN_BYTES = 16 << 20
-_sizes: dict[tuple, int] = {}  # key -> _Frame.nbytes of the bound's canonical frames
-_plans: dict[tuple, tuple[_Frame, ...]] = {}  # least recently used first
+_plans: dict[tuple, tuple[tuple[_Frame, ...], int]] = {}  # least recently used first
 _plans_lock = threading.Lock()
 
 
-def _runs(bounds: Bounds, nprops: int) -> Iterator[list[_Skeleton]]:
-    """The bound's canonical skeletons in enumeration order, in runs of
-    consecutive shapes: a shape joins the run before it when that run
-    holds no more lanes than the shape does."""
-    run: list[_Skeleton] = []
-    lanes = 0
-    for _, group in groupby(_iter_skeletons(bounds, True), lambda sk: (sk.world_count, sk.agent_count)):
-        shape = list(group)
-        size = sum([1 << nprops * sk.presence_mask.bit_count() for sk in shape])
-        if run and lanes > size:
-            yield run
-            run, lanes = [], 0
-        run += shape
-        lanes += size
-    yield run
-
-
-def _kept_plan(key: tuple, bounds: Bounds) -> tuple[_Frame, ...] | None:
-    """The bound's plan, its canonical frames packed run by run: the kept
-    one, or one built now if an earlier sweep measured the bound at most
-    _PLAN_BYTES, or None.  A plan built here is kept if it holds at most
-    _PLAN_BYTES, and the plans kept hold that much in all."""
-    with _plans_lock:
-        plan = _plans.pop(key, None)
-        if plan is not None:
-            _plans[key] = plan
-            return plan
-        size = _sizes.get(key)
-    if size is None or size > _PLAN_BYTES:
-        return None
+def _frames(bounds: Bounds) -> Iterator[_Frame]:
+    """The bound's canonical frames in order: each world count's canonical
+    skeletons are one run, packed by _pack.  Lazy, so a sweep enumerates
+    at most one frame's skeletons, plus one, past what it has checked."""
     nprops = len(bounds.props)
-    plan = tuple([frame for run in _runs(bounds, nprops) for frame in _pack(run, nprops)])
-    size = sum([frame.nbytes() for frame in plan])
-    with _plans_lock:
-        _sizes[key] = size
-        if size <= _PLAN_BYTES:
-            _plans[key] = plan
-            total = sum(_sizes[k] for k in _plans)
-            while total > _PLAN_BYTES:
-                oldest = next(iter(_plans))
-                total -= _sizes[oldest]
-                del _plans[oldest]
-    return plan
+    for _, run in groupby(_iter_skeletons(bounds, True), lambda sk: sk.world_count):
+        yield from _pack(run, nprops)
 
 
 def _sweep(
@@ -250,28 +208,40 @@ def _sweep(
 
 
 def _canonical_sweep(f: Formula, bounds: Bounds) -> tuple[int, tuple[_Frame, int, int] | None]:
-    """_sweep over the bound's canonical skeletons: through its kept plan,
-    or else streamed shape by shape, since packing past a shape would
-    enumerate later shapes before that one is checked.  A streamed sweep
-    that reaches the end of the bound measures it for _kept_plan."""
-    props, nprops = bounds.props, len(bounds.props)
-    key = (bounds.max_worlds, bounds.max_agents, nprops, checker._CHUNK_BITS)
-    plan = _kept_plan(key, bounds)
-    if plan is not None:
-        return _sweep(f, props, plan)
-    checked = size = 0
-    # nested loops: product() would first turn both ranges into tuples,
-    # which a bound past the C size limit cannot be
-    for w in range(1, bounds.max_worlds + 1):
-        for a in range(1, bounds.max_agents + 1):
-            for frame in _pack(_iter_skeletons_wa(w, a, True), nprops):
-                lanes, hit = _sweep(f, props, (frame,))
-                if hit is not None:
-                    return checked + lanes, hit
-                checked += lanes
-                size += frame.nbytes()
+    """_sweep over the bound's canonical frames: its kept plan, or else
+    _frames, built as the sweep goes.  A sweep that builds its frames and
+    reaches the end of the bound keeps them as the bound's plan if they
+    take at most _PLAN_BYTES in all, and the plans kept hold at most that
+    much in all."""
+    props = bounds.props
+    key = (bounds.max_worlds, bounds.max_agents, len(props), checker._CHUNK_BITS)
     with _plans_lock:
-        _sizes.setdefault(key, size)
+        kept = _plans.pop(key, None)
+        if kept is not None:
+            _plans[key] = kept  # now the most recently used
+    if kept is not None:
+        return _sweep(f, props, kept[0])
+    checked, size = 0, 0
+    frames: list[_Frame] | None = []
+    for frame in _frames(bounds):
+        lanes, hit = _sweep(f, props, (frame,))
+        checked += lanes
+        if hit is not None:
+            return checked, hit
+        if frames is not None:
+            size += frame.nbytes()
+            if size <= _PLAN_BYTES:
+                frames.append(frame)
+            else:
+                frames = None  # too many bytes to keep: collect no more
+    if frames is not None:
+        with _plans_lock:
+            _plans.pop(key, None)
+            _plans[key] = tuple(frames), size
+            total = sum([nbytes for _, nbytes in _plans.values()])
+            while total > _PLAN_BYTES:
+                oldest = next(iter(_plans))
+                total -= _plans.pop(oldest)[1]
     return checked, None
 
 
@@ -288,11 +258,10 @@ def _witness(
     return model, point
 
 
-def _scan(f: Formula, bounds: Bounds, prune: bool) -> Verdict:
+def _scan(f: Formula, g: Formula, bounds: Bounds, prune: bool) -> Verdict:
+    """decide_bounded's scan: the sweeps evaluate g, f folded, and the
+    witness is re-verified against f itself."""
     props, nprops = bounds.props, len(bounds.props)
-    # the sweeps evaluate the folded formula; the witness is re-verified
-    # against f itself
-    g = _fold_constants(f)
     checked, hit = _canonical_sweep(g, bounds)
     if hit is None:
         if not prune:
@@ -338,10 +307,12 @@ def decide_bounded(f: Formula, bounds: Bounds, prune: bool = False) -> Verdict:
     and count are those of the full ordered scan (see the module
     docstring).
     """
-    missing = atoms(f) - set(bounds.props)
+    # one program of f serves the atoms check and the fold
+    entries, _, nodes = _program([f])
+    missing = {entry[1] for entry in entries if entry[0] is Atom} - set(bounds.props)
     if missing:
         raise AtomNotInBoundsError(missing)
-    return _scan(f, bounds, prune)
+    return _scan(f, _fold_program(entries, nodes), bounds, prune)
 
 
 def find_countermodel(

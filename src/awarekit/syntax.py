@@ -705,9 +705,16 @@ def _fold_constants(f: Formula) -> Formula:
     the fold keeps a subtree unchanged, it keeps that node.
     """
     entries, _, nodes = _program([f])
+    return _fold_program(entries, nodes)
+
+
+def _fold_program(entries: list[tuple], nodes: list[Formula]) -> Formula:
+    """_fold_constants of the formula whose _program gives entries and
+    nodes, for a caller that reads that program for more; the formula is
+    nodes[-1], its single root's node."""
     kinds = {entry[0] for entry in entries}
     if Falsum not in kinds or MetaVar in kinds:
-        return f
+        return nodes[-1]
     folded: list[Formula] = []  # per entry; a constant is FALSE or TRUE itself
     for (kind, *args), node in zip(entries, nodes):
         if kind not in _OPERATORS:

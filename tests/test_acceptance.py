@@ -28,7 +28,7 @@ from awarekit.search import (
     fuzz_soundness,
     random_formula,
 )
-from awarekit.syntax import Atom, Implies, Know, instantiate, metavariables, parse
+from awarekit.syntax import Atom, Implies, Know, atoms, instantiate, metavariables, parse
 
 from conftest import GOLDEN, MUSEUM
 from test_proof import random_mp_proof
@@ -96,6 +96,36 @@ def test_criterion_3_non_theorem_separation():
             instance = instantiate(schema, {mv: p for mv in metavariables(schema)})
             verdict = decide_bounded(instance, bounds)
             assert isinstance(verdict, ValidUpToBounds), ax.value
+        assert time.monotonic() - started < 30.0
+
+
+def test_axioms_valid_by_generic_instances():
+    """Every instance of each non-tautology axiom and of each builtin
+    registry schema is valid up to (3,3), not only the one with every
+    metavariable replaced by p.
+
+    The generic instance puts a distinct fresh atom in place of each
+    metavariable, and deciding it at a bound covers every instance at
+    every model of the bound, by uniform substitution.  Valuations range
+    over all sets of present pairs, and so do the extensions of formulas.
+    So an instance is true at a point of a model exactly when the generic
+    instance is true at that point of the model with the same skeleton
+    whose valuation gives each fresh atom the extension of the formula
+    put in its place.  A countermodel of any instance within the bound
+    would thus give one of the generic instance, and there is none.
+    """
+    with criterion("3b", "generic instances of the axioms and registry schemas are valid up to (3,3)"):
+        started = time.monotonic()
+        schemas = {ax.value: AXIOM_SCHEMAS[ax] for ax in NON_TAUT_AXIOMS}
+        registry = default_registry()
+        schemas.update((name, registry.get(name).schema) for name in registry.names())
+        for name, schema in schemas.items():
+            fresh = {mv: Atom(mv.lower()) for mv in metavariables(schema)}
+            assert not atoms(schema) & {a.name for a in fresh.values()}, name
+            instance = instantiate(schema, fresh)
+            bounds = Bounds(3, 3, tuple(sorted(atoms(instance))) or ("p",))
+            assert isinstance(decide_bounded(instance, bounds), ValidUpToBounds), name
+        assert len(schemas) == 21
         assert time.monotonic() - started < 30.0
 
 

@@ -31,6 +31,7 @@ from awarekit.syntax import (
     MetaVar,
     Not,
     Or,
+    _fold_constants,
     _program,
     children,
     instantiate,
@@ -344,8 +345,7 @@ class TestChunkedSweep:
         import awarekit.checker as engine
 
         f, bounds = parse("K p -> p"), Bounds(3, 3, ("p",))
-        for _ in range(2):  # measure the bound, then keep its plan
-            decide_bounded(f, bounds)
+        decide_bounded(f, bounds)  # keeps the bound's plan
         columns = engine._Frame.columns
         calls = []
 
@@ -479,9 +479,8 @@ class TestEngineAgainstOracle:
         shared = self.check(rng, frames, props, bits)
         assert shared or bits == 5
 
-    # kept plans, whose frames pack skeletons of several shapes: of one
-    # world count at three agents, of several at two, where a skeleton's
-    # presence is re-encoded into the frame's wider pair bits
+    # kept plans, whose frames pack skeletons of several shapes, of one
+    # world count and several agent counts
     MIXED = [
         (2, 3, ("p",), None),
         (3, 3, ("p",), None),
@@ -500,15 +499,12 @@ class TestEngineAgainstOracle:
 
         monkeypatch.setattr(engine, "_CHUNK_BITS", bits)
         bounds = Bounds(worlds, agents, props)
-        for _ in range(2):  # measure the bound, then keep its plan
-            decide_bounded(parse("K p -> p"), bounds)
-        frames = search._plans[worlds, agents, len(props), bits][:limit]
+        decide_bounded(parse("K p -> p"), bounds)  # keeps the bound's plan
+        frames = search._plans[worlds, agents, len(props), bits][0][:limit]
         shapes = [{(sk.world_count, sk.agent_count) for sk in frame.skeletons} for frame in frames]
         assert any(len(shape) > 1 for shape in shapes)
-        if agents == 2:
-            assert any(len({w for w, _ in shape}) > 1 for shape in shapes)
         for frame, shape in zip(frames, shapes):
-            assert frame.world_count == max(w for w, _ in shape)
+            assert {w for w, _ in shape} == {frame.world_count}
         rng = random.Random(f"mixed {worlds}x{agents}x{len(props)}:{bits}")
         self.check(rng, frames, props, bits)
 
@@ -549,7 +545,7 @@ class TestEngineAgainstOracle:
                     model = _materialize(sk, masks, props)
                     oracle = {}
                     for slot, t in enumerate(frame.pairs):
-                        # the frame's pair bits are a * W + u, W its widest world count
+                        # the frame's pair bits are a * W + u, W its skeletons' world count
                         agent, world = divmod(t, frame.world_count)
                         if (agent, world) not in model.presence:
                             continue
@@ -603,23 +599,25 @@ class TestCanonicalFirstScan:
     def test_full_order_sweeps_only_the_witness_shape(self, clear_plans, monkeypatch, text, shape):
         from awarekit import search
 
-        enumerated = []
-        wa = search._iter_skeletons_wa
-
-        def counting(*args):
-            enumerated.append(args)
-            return wa(*args)
-
-        monkeypatch.setattr(search, "_iter_skeletons_wa", counting)
+        f, bounds = parse(text), Bounds(3, 3, ("p",))
+        frames = [frame.skeletons for frame in search._frames(bounds)]
+        hit = search._canonical_sweep(_fold_constants(f), bounds)[1]
+        clear_plans()
+        enumerated, canonical = _counting_enumeration(monkeypatch)
         for _ in range(3):
-            decide_bounded(parse(text), Bounds(3, 3, ("p",)))
+            decide_bounded(f, bounds)
         plain = [args[:2] for args in enumerated if not args[2]]
         if shape is None:
+            # the first decision keeps the plan, which the others reuse
             assert plain == []
+            assert canonical == [sk for skeletons in frames for sk in skeletons]
         else:
-            # the canonical sweep stops in the witness's shape too
             assert plain == [shape] * 3
-            assert max(args[:2] for args in enumerated) == shape
+            # a refuted sweep keeps nothing, so each one streams, and
+            # enumerates through the frame of its witness and one skeleton
+            # more, with which the run of the next world count begins
+            through = sum(len(skeletons) for skeletons in frames[: frames.index(hit[0].skeletons) + 1])
+            assert len(canonical) == 3 * (through + 1)
 
 
 class TestWitnessMaskSweep:
@@ -645,7 +643,7 @@ class TestWitnessMaskSweep:
         from awarekit.checker import _pack
         from awarekit.model import _iter_skeletons_wa
 
-        g, n = search._fold_constants(f), len(bounds.props)
+        g, n = _fold_constants(f), len(bounds.props)
         _, (frame, lane, _) = search._canonical_sweep(g, bounds)
         c, _ = frame.valuation(lane, n)
         _, hit = search._sweep(g, bounds.props, _pack(_iter_skeletons_wa(c.world_count, c.agent_count), n))
@@ -703,20 +701,19 @@ class TestConstantFold:
         from awarekit import search
 
         f = random_formula(random.Random(seed), bounds.props, 4)
-        if _key(bounds) not in search._plans:
-            for _ in range(2):  # measure the bound, then keep its plan
-                decide_bounded(parse("K p -> p"), bounds)
+        decide_bounded(parse("K p -> p"), bounds)  # keeps the bound's plan
 
         def decisions():
             warm = [decide_bounded(f, bounds, prune) for prune in (False, True)]
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(search, "_kept_plan", lambda key, bounds: None)
+                _streamed(mp)
                 cold = [decide_bounded(f, bounds, prune) for prune in (False, True)]
             return warm + cold
 
         got = decisions()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_fold_constants", lambda f: f)
+            # the fold's result replaced by its root, f itself
+            mp.setattr(search, "_fold_program", lambda entries, nodes: nodes[-1])
             want = decisions()
         assert got == want, render(f)
         assert got[:2] == got[2:]
@@ -728,8 +725,7 @@ class TestConstantFold:
         from awarekit.checker import _Frame
 
         bounds = Bounds(3, 3, ("p", "q"))
-        for _ in range(2):
-            want = decide_bounded(parse("K p -> p"), bounds)
+        want = decide_bounded(parse("K p -> p"), bounds)  # keeps the bound's plan
         calls = []
         columns = _Frame.columns
 
@@ -745,16 +741,42 @@ class TestConstantFold:
 
 @pytest.fixture
 def clear_plans():
-    """Forget every kept plan and shape size, before and after the test."""
+    """Forget every kept plan, before and after the test."""
     from awarekit import search
 
-    def clear():
-        search._plans.clear()
-        search._sizes.clear()
+    search._plans.clear()
+    yield search._plans.clear
+    search._plans.clear()
 
-    clear()
-    yield clear
-    clear()
+
+def _streamed(mp):
+    """Through mp, make every decision stream: no plan is found or kept."""
+    from awarekit import search
+
+    mp.setattr(search, "_plans", {})
+    mp.setattr(search, "_PLAN_BYTES", -1)
+
+
+def _counting_enumeration(mp):
+    """Through mp, record the arguments of every _iter_skeletons_wa call
+    of the search, and each skeleton its _iter_skeletons yields."""
+    from awarekit import search
+
+    calls, yielded = [], []
+    wa, each = search._iter_skeletons_wa, search._iter_skeletons
+
+    def counting_wa(*args):
+        calls.append(args)
+        return wa(*args)
+
+    def counting(*args):
+        for sk in each(*args):
+            yielded.append(sk)
+            yield sk
+
+    mp.setattr(search, "_iter_skeletons_wa", counting_wa)
+    mp.setattr(search, "_iter_skeletons", counting)
+    return calls, yielded
 
 
 def _witness_shape(verdict):
@@ -767,31 +789,25 @@ def _key(bounds):
     return bounds.max_worlds, bounds.max_agents, len(bounds.props), _CHUNK_BITS
 
 
-def _stream_bytes(bounds):
-    """_Frame.nbytes summed over the bound's canonical frames packed shape
-    by shape, as a streamed sweep measures the bound."""
-    from awarekit.checker import _pack
-    from awarekit.model import _iter_skeletons_wa
+def _bound_bytes(bounds):
+    """_Frame.nbytes summed over the bound's canonical frames, as the plan
+    cap counts them, streamed or kept."""
+    from awarekit.search import _frames
 
-    n = len(bounds.props)
-    shapes = [(w, a) for w in range(1, bounds.max_worlds + 1) for a in range(1, bounds.max_agents + 1)]
-    return sum(frame.nbytes() for w, a in shapes for frame in _pack(_iter_skeletons_wa(w, a, True), n))
+    return sum(frame.nbytes() for frame in _frames(bounds))
 
 
-def _plan_bytes(bounds):
-    """_Frame.nbytes summed over the bound's plan, packed run by run, as
-    the plan cap counts it once the plan is built."""
-    from awarekit.checker import _pack
-    from awarekit.search import _runs
+def _kept_bytes():
+    """Each kept plan's bytes, by bound, least recently used first."""
+    from awarekit import search
 
-    n = len(bounds.props)
-    return sum(frame.nbytes() for run in _runs(bounds, n) for frame in _pack(run, n))
+    return {key: nbytes for key, (_, nbytes) in search._plans.items()}
 
 
 class TestPlanReuse:
-    # decisions at one bound share its frames and pass layouts: a bound is
-    # measured by the first sweep that reaches its end, its plan is built
-    # and kept by the next one and reused from then on
+    # decisions at one bound share its frames and pass layouts: the first
+    # sweep that reaches the bound's end keeps the frames it built as the
+    # bound's plan, which is reused from then on
     CASES = [
         ("K p -> p", Bounds(2, 2, ("p",)), False),
         ("D p -> R p", Bounds(2, 2, ("p", "q")), True),  # witness in (2,2), presence 7 of 15
@@ -815,25 +831,24 @@ class TestPlanReuse:
         from awarekit import search
 
         want = self.cold(clear_plans)
-        enumerated = []
-        wa = search._iter_skeletons_wa
-
-        def counting(*args):
-            enumerated.append(args)
-            return wa(*args)
-
-        monkeypatch.setattr(search, "_iter_skeletons_wa", counting)
+        enumerated, canonical = _counting_enumeration(monkeypatch)
         order = list(range(len(self.CASES)))
         for rounds in (order, order[::-1]):
             for i in rounds:
                 text, bounds, prune = self.CASES[i]
                 assert decide_bounded(parse(text), bounds, prune) == want[i], text
-        # each bound has now had a valid case swept twice, so its plan is kept
+        # each bound with a valid case has had it swept to its end, so its
+        # plan is kept, and no decision there enumerates a canonical skeleton
+        kept = {_key(bounds) for (_, bounds, _), v in zip(self.CASES, want) if isinstance(v, ValidUpToBounds)}
+        assert set(search._plans) == kept
         for i in order:
             text, bounds, prune = self.CASES[i]
             enumerated.clear()
+            canonical.clear()
             got = decide_bounded(parse(text), bounds, prune)
             assert got == want[i], text
+            if _key(bounds) in kept:
+                assert canonical == [], text
             if isinstance(got, ValidUpToBounds):
                 assert enumerated == [], text
 
@@ -844,34 +859,34 @@ class TestPlanReuse:
         for _ in range(3):
             v = decide_bounded(f, bounds)
         assert isinstance(v, Countermodel) and _witness_shape(v) == (3, 2)
-        # no sweep reached the end of the bound, so it is neither kept nor
-        # even measured, though the sweeps passed five of its six shapes
-        assert search._plans == {} and search._sizes == {}
-        # a valid decision measures it, and the next decision, refuted or
-        # not, builds its plan, keeps it and finds the same witness there
+        # no sweep reached the end of the bound, so nothing of it is kept,
+        # though the sweeps passed five of its six shapes
+        assert search._plans == {}
+        # one valid decision keeps its plan, and the next decision finds
+        # the same witness there
         decide_bounded(parse("K p -> p"), bounds)
-        assert search._plans == {} and list(search._sizes) == [_key(bounds)]
+        assert _kept_bytes() == {_key(bounds): _bound_bytes(bounds)}
+        plan = search._plans[_key(bounds)]
         assert decide_bounded(f, bounds) == v
-        assert list(search._plans) == [_key(bounds)]
-        assert search._sizes[_key(bounds)] == _plan_bytes(bounds)
+        assert search._plans == {_key(bounds): plan}
 
     @pytest.mark.parametrize("over", ["one-bound-over", "total-over"])
     def test_cap(self, clear_plans, monkeypatch, over):
         from awarekit import search
 
-        # plans are measured, kept and evicted whole, one per bound.  The
-        # cap is either below the bytes of the (3,2) bound, so only the
-        # (2,3) bound's plan is kept, or above either bound's and below both
+        # plans are kept and evicted whole, one per bound, by the one
+        # byte count of the frames streamed and kept alike.  The cap is
+        # either below the bytes of the (3,2) bound, so only the (2,3)
+        # bound's plan is kept, or above either bound's and below both
         # together, so each bound's plan evicts the other's
         big, small = Bounds(3, 2, ("p",)), Bounds(2, 3, ("p",))
-        stream = {b: _stream_bytes(b) for b in (big, small)}
-        plan = {b: _plan_bytes(b) for b in (big, small)}
+        size = {b: _bound_bytes(b) for b in (big, small)}
         if over == "one-bound-over":
-            cap = min(stream[big], plan[big]) - 1
-            assert max(stream[small], plan[small]) <= cap
+            cap = size[big] - 1
+            assert size[small] <= cap
         else:
-            cap = max(*stream.values(), *plan.values())
-            assert cap < plan[big] + plan[small]
+            cap = max(size.values())
+            assert cap < size[big] + size[small]
         texts = ["K p -> p", "D p -> R p", "K ~R p -> ~D K p", "R K p -> K R p"]
         want = {}
         for b in (small, big):
@@ -883,27 +898,22 @@ class TestPlanReuse:
             for b in (small, big):
                 assert [decide_bounded(parse(t), b) for t in texts] == want[b]
         if over == "one-bound-over":
-            # the big bound is measured by its streamed sweep and never built
-            assert search._sizes == {_key(small): plan[small], _key(big): stream[big]}
-            assert list(search._plans) == [_key(small)]
+            # the big bound streams every time and is never kept
+            assert _kept_bytes() == {_key(small): size[small]}
         else:
-            assert search._sizes == {_key(small): plan[small], _key(big): plan[big]}
-            assert list(search._plans) == [_key(big)]
-        assert sum(search._sizes[key] for key in search._plans) <= cap
+            assert _kept_bytes() == {_key(big): size[big]}
+        assert sum(_kept_bytes().values()) <= cap
 
     def test_default_cap_keeps_the_documented_bounds(self):
         from awarekit import search
 
         # the (3,3) bound over p and over p,q, and the (4,3) bound over p,
-        # fit the cap, as measured when streamed and once built: each is
-        # kept whole
+        # fit the cap: each is kept whole
         for bounds in [Bounds(3, 3, ("p",)), Bounds(3, 3, ("p", "q")), Bounds(4, 3, ("p",))]:
-            assert max(_stream_bytes(bounds), _plan_bytes(bounds)) <= search._PLAN_BYTES, bounds
+            assert _bound_bytes(bounds) <= search._PLAN_BYTES, bounds
 
     # the (3,3) plans, frame by frame: its shapes and its lanes.  Each
-    # world count's shapes make one run, since each shape holds at least
-    # as many lanes as the shapes before it of its world count, and fewer
-    # than all of those of the world count before
+    # world count's shapes make one run
     def test_run_rule_on_the_three_by_three_plans(self, clear_plans):
         from awarekit import search
 
@@ -913,9 +923,8 @@ class TestPlanReuse:
             (("p", "q"), [(shapes[1], 111), (shapes[2], 22575), (shapes[3], 63727)], 93),
         ]:
             bounds = Bounds(3, 3, props)
-            for _ in range(2):  # measure the bound, then keep its plan
-                decide_bounded(parse("K p -> p"), bounds)
-            plan = search._plans[_key(bounds)]
+            decide_bounded(parse("K p -> p"), bounds)  # keeps the bound's plan
+            plan, _ = search._plans[_key(bounds)]
             layout = [(sorted({(sk.world_count, sk.agent_count) for sk in f.skeletons}), f.size) for f in plan]
             assert layout[:3] == head, props
             # over p,q the third run, (3,1) to (3,3), spans 49 frames
@@ -932,16 +941,15 @@ class TestPlanReuse:
     @pytest.mark.parametrize("bounds", WARM, ids=["2x3p", "3x3p", "4x3p", "3x3pq"])
     def test_warm_decision_equals_cold(self, bounds, seed):
         # a decision through the bound's kept plan gives the verdict,
-        # witness and models_checked of one streamed shape by shape
+        # witness and models_checked of a streamed one
         from awarekit import search
 
         if _key(bounds) not in search._plans:
-            for _ in range(2):  # measure the bound, then keep its plan
-                decide_bounded(parse("K p -> p"), bounds)
+            decide_bounded(parse("K p -> p"), bounds)  # keeps the bound's plan
         plan = search._plans[_key(bounds)]
         f = random_formula(random.Random(seed), bounds.props, 4)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_kept_plan", lambda key, bounds: None)
+            _streamed(mp)
             cold = [decide_bounded(f, bounds, prune) for prune in (False, True)]
         assert [decide_bounded(f, bounds, prune) for prune in (False, True)] == cold, render(f)
         assert search._plans[_key(bounds)] is plan
@@ -966,8 +974,8 @@ class TestPlanReuse:
         clear_plans()
         # room for either bound's plan, not both
         bounds = [Bounds(2, 3, ("p",)), Bounds(3, 2, ("p",))]
-        cap = max(max(_stream_bytes(b), _plan_bytes(b)) for b in bounds)
-        assert cap < sum(_plan_bytes(b) for b in bounds)
+        cap = max(_bound_bytes(b) for b in bounds)
+        assert cap < sum(_bound_bytes(b) for b in bounds)
         monkeypatch.setattr(search, "_PLAN_BYTES", cap)
         wrong: list = []
 
@@ -992,23 +1000,68 @@ class TestPlanReuse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        assert sum(search._sizes[key] for key in search._plans) <= cap
+        assert sum(_kept_bytes().values()) <= cap
 
     def test_no_reference_cycles_on_any_path(self, clear_plans):
-        # a streaming sweep, one that keeps the plan and one that reuses it
+        # a streamed sweep that stops at its witness, one that keeps the
+        # plan, and valid and refuted ones that reuse it
         import gc
 
-        f, bounds = parse("K p -> p"), Bounds(2, 2, ("p",))
-        decide_bounded(f, bounds)  # fill the enumeration caches first
+        bounds = Bounds(2, 2, ("p",))
+        decide_bounded(parse("K p -> p"), bounds)  # fill the enumeration caches first
         clear_plans()
         gc.collect()
         gc.disable()
         try:
-            for _ in range(3):
-                decide_bounded(f, bounds)
+            for text in ("K p", "K p -> p", "K p -> p", "K p"):
+                decide_bounded(parse(text), bounds)
                 assert gc.collect() == 0
         finally:
             gc.enable()
+
+    # the kept plan is the frames the first full sweep streamed, each of
+    # one world count
+    @pytest.mark.parametrize(
+        "bounds,frames,passes",
+        [
+            (Bounds(2, 2, ("p",)), 2, 2),
+            (Bounds(3, 3, ("p",)), 3, 3),
+            (Bounds(3, 3, ("p", "q")), 51, 93),
+            (Bounds(4, 3, ("p",)), 22, 22),
+        ],
+        ids=["2x2p", "3x3p", "3x3pq", "4x3p"],
+    )
+    def test_streamed_frames_are_the_kept_plan(self, clear_plans, monkeypatch, bounds, frames, passes):
+        from awarekit import search
+
+        swept = []
+        sweep = search._sweep
+
+        def recording(f, props, frames):
+            frames = list(frames)
+            swept.extend(frames)
+            return sweep(f, props, frames)
+
+        monkeypatch.setattr(search, "_sweep", recording)
+        decide_bounded(parse("K p -> p"), bounds)
+        plan, nbytes = search._plans[_key(bounds)]
+        assert len(plan) == len(swept) == frames
+        assert all(kept is built for kept, built in zip(plan, swept))
+        assert nbytes == sum(frame.nbytes() for frame in plan)
+        assert [frame.skeletons for frame in plan] == [frame.skeletons for frame in search._frames(bounds)]
+        for frame in plan:
+            assert {sk.world_count for sk in frame.skeletons} == {frame.world_count}
+        assert sum(1 for frame in plan for _ in frame._passes(len(bounds.props))) == passes
+
+    def test_decision_after_the_first_valid_one_enumerates_nothing(self, clear_plans, monkeypatch):
+        enumerated, canonical = _counting_enumeration(monkeypatch)
+        bounds = Bounds(3, 3, ("p",))
+        assert isinstance(decide_bounded(parse("K p -> p"), bounds), ValidUpToBounds)
+        assert canonical and not enumerated
+        canonical.clear()
+        assert isinstance(decide_bounded(parse("D p -> K D p"), bounds), ValidUpToBounds)
+        assert isinstance(decide_bounded(parse("R p -> K R p"), bounds, prune=True), Countermodel)
+        assert canonical == [] and enumerated == []
 
 
 class TestFuzz:

@@ -3,7 +3,7 @@
 Each mutant is one textual change to one file of ``src/awarekit``: the old
 text must occur there exactly once.  The script copies the repository to a
 temporary directory once, and for each mutant writes the changed file into
-the copy, runs pytest with ``-x`` on the test files that cover that code,
+the copy, runs pytest with ``-x`` on the tests that cover that code,
 and restores the file.  A mutant is killed when pytest fails.  It prints
 one line per mutant and then ``killed K of N``; the exit code is 0 whatever
 the score, and 2 when the unchanged copy fails its tests or a mutant's old
@@ -34,8 +34,9 @@ CHECKER_TESTS = ("tests/test_checker.py",)
 SYNTAX_TESTS = ("tests/test_syntax.py",)
 PROOF_TESTS = ("tests/test_proof.py",)
 MODEL_TESTS = ("tests/test_model.py",)
+GENERIC_INSTANCE_TESTS = ("tests/test_acceptance.py::test_axioms_valid_by_generic_instances",)
 
-# (name, description, file under src/awarekit, old text, new text, test files)
+# (name, description, file under src/awarekit, old text, new text, test files or test ids)
 MUTANTS = [
     (
         "atom-world-3",
@@ -110,27 +111,27 @@ MUTANTS = [
         SEARCH_TESTS,
     ),
     (
-        "no-plan-cap",
-        "a bound's plan is built however many bytes its streamed sweep measured",
+        "plan-kept-whatever-its-bytes",
+        "a sweep that reaches the end of the bound keeps its frames however many bytes they take",
         "search.py",
-        "    if size is None or size > _PLAN_BYTES:",
-        "    if size is None:",
+        "            if size <= _PLAN_BYTES:",
+        "            if True:",
         SEARCH_TESTS,
     ),
     (
-        "embed-own-width",
-        "a skeleton's presence is read in its own world width, not the frame's",
-        "checker.py",
-        "    if w == W:\n        return mask\n",
-        "    return mask\n",
+        "runs-per-shape",
+        "each (worlds, agents) shape's canonical skeletons are a run of their own",
+        "search.py",
+        "groupby(_iter_skeletons(bounds, True), lambda sk: sk.world_count)",
+        "groupby(_iter_skeletons(bounds, True), lambda sk: (sk.world_count, sk.agent_count))",
         SEARCH_TESTS,
     ),
     (
-        "point-first-skeleton-width",
-        "a slot's point is read in the world width of the frame's first skeleton",
-        "checker.py",
-        "        a, w = divmod(self.pairs[slot], self.world_count)",
-        "        a, w = divmod(self.pairs[slot], self.skeletons[0].world_count)",
+        "one-run-per-bound",
+        "the whole bound's canonical skeletons are one run, so frames mix world counts",
+        "search.py",
+        "groupby(_iter_skeletons(bounds, True), lambda sk: sk.world_count)",
+        "groupby(_iter_skeletons(bounds, True), lambda sk: 0)",
         SEARCH_TESTS,
     ),
     (
@@ -139,14 +140,6 @@ MUTANTS = [
         "search.py",
         "        sk, _ = frame.valuation(lane, nprops)\n",
         "        sk = frame.skeletons[0]\n",
-        SEARCH_TESTS,
-    ),
-    (
-        "run-rule-inverted",
-        "a shape joins the run before it when that run holds more lanes than the shape does",
-        "search.py",
-        "        if run and lanes > size:",
-        "        if run and lanes <= size:",
         SEARCH_TESTS,
     ),
     (
@@ -400,6 +393,14 @@ MUTANTS = [
         '    AxiomId.DISJ: parse("R (PHI | PSI) -> R PHI | R PSI"),',
         '    AxiomId.DISJ: parse("D (PHI | PSI) -> D PHI | D PSI"),',
         PROOF_TESTS,
+    ),
+    (
+        "disj-and",
+        "the disj axiom concludes R PHI & R PSI, which only distinct arguments refute",
+        "proof.py",
+        '    AxiomId.DISJ: parse("R (PHI | PSI) -> R PHI | R PSI"),',
+        '    AxiomId.DISJ: parse("R (PHI | PSI) -> R PHI & R PSI"),',
+        GENERIC_INSTANCE_TESTS,
     ),
     (
         "earlier-allows-self",
