@@ -16,16 +16,16 @@ keeps nothing once it returns.  ``ModelEvaluator`` runs a concrete model
 as a frame of one skeleton under its one valuation: a column of one
 formula is a single bit, and the instances of a schema run as the lanes of
 one column, lane j for substitution j.  The bounded search in
-``awarekit.search`` packs skeletons into frames (``_pack``), one shape's
-at a time or runs of shapes for a kept plan, each frame one pass wide or
-one skeleton that needs several, and sweeps them under every valuation.
+``awarekit.search`` packs each world count's canonical skeletons in order
+into frames (``_pack``), each frame one pass wide or one skeleton that
+needs several, and sweeps them under every valuation.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import AgentNotPresentError, EpistemicModel, Point, _scatter, _Skeleton
@@ -44,7 +44,7 @@ from .syntax import (
     UnboundMetavariableError,
     _CHUNK_BITS,
     _pattern_column,
-    children,
+    metavariables,
     render,
 )
 
@@ -468,8 +468,8 @@ class ModelEvaluator:
     def first_failure(self, f: Formula, _column: list[int] | None = None) -> Point | None:
         """Lowest present pair (agent-major order) where f fails, if any.
 
-        _column is f's column when it is already known: first_failures
-        passes one instance's lane of its pass.
+        _column is f's column when it is already known: _failures passes
+        one instance's lane of its pass.
         """
         if _column is None:
             _column = self._columns([f])[0]
@@ -479,10 +479,7 @@ class ModelEvaluator:
         return None
 
     def first_failures(
-        self,
-        schema: Formula,
-        substitutions: Sequence[Mapping[str, Formula]],
-        _single: Sequence[list[int]] | None = None,
+        self, schema: Formula, substitutions: Sequence[Mapping[str, Formula]]
     ) -> list[tuple[int, Point]]:
         """(j, first_failure of instance j) for each instance of schema
         that fails, in ascending j, where instance j substitutes
@@ -494,44 +491,41 @@ class ModelEvaluator:
         that column joins the atoms' in the leaf map, and the schema body
         is evaluated once over all lanes.  Each instance's failure is then
         read off its lane by first_failure.
-
-        _single, when given, holds the single-lane columns of the
-        substitution formulas, metavariable by metavariable in sorted name
-        order and instance by instance within each, in place of evaluating
-        them here: fuzz_soundness evaluates a trial's whole pool in one
-        call and hands each schema its columns by position.
         """
-        n = len(substitutions)
-        if not n:
-            return []
-        full = (1 << n) - 1
-        found: set[str] = set()
-        stack = [schema]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, MetaVar):
-                found.add(node.name)
-            else:
-                stack += children(node)
-        names = sorted(found)
-        if _single is None:
-            try:
-                roots = [subst[name] for name in names for subst in substitutions]
-            except KeyError as exc:
-                raise UnboundMetavariableError(exc.args[0]) from None
-            _single = self._columns(roots)
-        leaves = {p: [full if b else 0 for b in col] for p, col in self._atoms.items()}
-        for i, name in enumerate(names):
-            # bit j of slot s is the single bit of substitution j at slot s:
-            # the slot's bits, lane n - 1 first, read as a binary numeral
-            per_slot = zip(*_single[i * n : i * n + n])
-            leaves[name] = [int(bytes(bits[::-1]).translate(_BINARY_DIGITS), 2) for bits in per_slot]
-        [result] = self._frame.columns([schema], leaves, full)
+        return self._failures([(schema, sorted(metavariables(schema)), substitutions)])[0]
+
+    def _failures(
+        self, jobs: Sequence[tuple[Formula, Sequence[str], Sequence[Mapping[str, Formula]]]]
+    ) -> list[list[tuple[int, Point]]]:
+        """first_failures of each job (schema, its metavariables in sorted
+        order, substitutions), with the substitution formulas of every job
+        evaluated in one engine call, so a subtree that several jobs share
+        is evaluated once."""
+        try:
+            roots = [subst[name] for _, names, substs in jobs for name in names for subst in substs]
+        except KeyError as exc:
+            raise UnboundMetavariableError(exc.args[0]) from None
+        single = self._columns(roots)
+        starts = list(accumulate([len(names) * len(substs) for _, names, substs in jobs], initial=0))
         out = []
-        for j in range(n):
-            point = self.first_failure(schema, [c >> j & 1 for c in result])
-            if point is not None:
-                out.append((j, point))
+        for k, (schema, names, substs) in enumerate(jobs):
+            n, found = len(substs), []
+            out.append(found)
+            if not n:
+                continue
+            full = (1 << n) - 1
+            leaves = {p: [full if b else 0 for b in col] for p, col in self._atoms.items()}
+            for i, name in enumerate(names):
+                # bit j of slot s is the single bit of substitution j at slot s:
+                # the slot's bits, lane n - 1 first, read as a binary numeral
+                at = starts[k] + i * n
+                per_slot = zip(*single[at : at + n])
+                leaves[name] = [int(bytes(bits[::-1]).translate(_BINARY_DIGITS), 2) for bits in per_slot]
+            [result] = self._frame.columns([schema], leaves, full)
+            for j in range(n):
+                point = self.first_failure(schema, [c >> j & 1 for c in result])
+                if point is not None:
+                    found.append((j, point))
         return out
 
 

@@ -279,14 +279,12 @@ def _random_partition(rng: random.Random, elems: list[int]) -> tuple[tuple[int, 
         remaining = len(elems) - i - 1
         b = len(blocks)
         pick = rng.randrange(_partition_weight(remaining + 1, b))
-        join = _partition_weight(remaining, b)
-        placed = False
-        for j in range(b):
-            if pick < (j + 1) * join:
-                blocks[j].append(elems[i])
-                placed = True
-                break
-        if not placed:
+        # each open block takes _partition_weight(remaining, b) picks,
+        # and the picks past them open a new block
+        j = pick // _partition_weight(remaining, b)
+        if j < b:
+            blocks[j].append(elems[i])
+        else:
             blocks.append([elems[i]])
     return _canonical_partition(blocks)
 

@@ -65,22 +65,23 @@ bound runs 3 passes, not one per shape; one at (4,3) runs 22, and one at
 
 The canonical frames, their block tables and the atom columns of each
 frame that packs several skeletons depend on the bound, the number of
-propositions and the pass width, never on the formula.  So the first
-sweep that reaches the end of a bound keeps the frames it built as the
-bound's plan, if they take at most _PLAN_BYTES (16 MiB) in all by
-_Frame.nbytes: the lane masks and atom columns, which grow with the lanes
-of the frames that pack several skeletons.  It stops collecting them
-once they pass that.  Every later decision at the bound sweeps its plan
-and redoes only the formula work: the evaluation, the lowest failing
-lane and the re-verification.  A sweep that stops at a witness keeps
-nothing of its bound; a full-order sweep always stops at one, so plans
-are kept of canonical skeletons alone.  The plans kept hold at most
-_PLAN_BYTES in all, least recently used out first.  By that measure the
-plan of the (3,3) bound takes 0.14 MB with one proposition and 2.9 MB
-with two, that of the (4,3) bound 6.5 MB with one, and that of the (6,2)
-bound 10.4 MB; (3,5) over one proposition takes 29 MB and streams, as
-(5,3) and (4,4) do, each holding up to _PLAN_BYTES of frames before it
-stops collecting them.
+propositions and the pass width, never on the formula.  So every
+decision sweeps one frame source, _plan(bounds): the bound's kept plan,
+or else _frames as they are built, which _plan collects while they take
+at most _PLAN_BYTES (16 MiB) in all by _Frame.nbytes: the lane masks and
+atom columns, which grow with the lanes of the frames that pack several
+skeletons.  The first sweep to take the bound's last frame keeps what
+was collected as the bound's plan.  Every later decision at the bound
+sweeps its plan and redoes only the formula work: the evaluation, the
+lowest failing lane and the re-verification.  A sweep that stops sooner,
+at a witness or by raising, keeps nothing of its bound; a full-order
+sweep always stops at one, so plans are kept of canonical skeletons
+alone.  The plans kept hold at most _PLAN_BYTES in all, least recently
+used out first.  By that measure the plan of the (3,3) bound takes
+0.14 MB with one proposition and 2.9 MB with two, that of the (4,3)
+bound 6.5 MB with one, and that of the (6,2) bound 10.4 MB; (3,5) over
+one proposition takes 29 MB and streams, as (5,3) and (4,4) do, each
+holding up to _PLAN_BYTES of frames before it stops collecting them.
 """
 
 from __future__ import annotations
@@ -182,13 +183,14 @@ def _sweep(
     f: Formula, props: tuple[str, ...], frames: Iterable[_Frame]
 ) -> tuple[int, tuple[_Frame, int, int] | None]:
     """Sweep the frames in order for a lane where f fails.  Returns the
-    number of lanes before the first failing one and its (frame, lane,
-    slot), where the slot is the lowest present one at which f fails in
-    that lane, or the number of all lanes and None.  A frame's lanes are
-    its skeletons' segments in order, each under every valuation in
-    order, so the lowest lane is the first failure in enumeration order."""
+    lanes of the frames it swept, and the (frame, lane, slot) of the
+    lowest failing lane, where the slot is the lowest present one at which
+    f fails in that lane, or None.  A frame's lanes are its skeletons'
+    segments in order, each under every valuation in order, so the lowest
+    lane is the first failure in enumeration order."""
     checked = 0
     for frame in frames:
+        checked += frame.size
         gaps = frame.absent
         for start, full, atoms in frame._passes(len(props)):
             [result] = frame.columns([f], dict(zip(props, atoms)), full)
@@ -202,32 +204,29 @@ def _sweep(
             if failing:
                 lane = (failing & -failing).bit_length() - 1
                 slot = next(i for i, c in enumerate(result) if not (c | gaps[i]) >> lane & 1)
-                return checked + start + lane, (frame, start + lane, slot)
-        checked += frame.size
+                return checked, (frame, start + lane, slot)
     return checked, None
 
 
-def _canonical_sweep(f: Formula, bounds: Bounds) -> tuple[int, tuple[_Frame, int, int] | None]:
-    """_sweep over the bound's canonical frames: its kept plan, or else
-    _frames, built as the sweep goes.  A sweep that builds its frames and
-    reaches the end of the bound keeps them as the bound's plan if they
-    take at most _PLAN_BYTES in all, and the plans kept hold at most that
-    much in all."""
-    props = bounds.props
-    key = (bounds.max_worlds, bounds.max_agents, len(props), checker._CHUNK_BITS)
+def _plan(bounds: Bounds) -> Iterator[_Frame]:
+    """The bound's canonical frames in order: its kept plan, or else
+    _frames as they are built.  Once a sweep has taken the last built
+    frame, the frames become the bound's plan if they take at most
+    _PLAN_BYTES in all, and the plans kept hold at most that much in all,
+    least recently used out first.  A sweep that stops sooner, at a
+    witness or by raising, keeps nothing."""
+    key = (bounds.max_worlds, bounds.max_agents, len(bounds.props), checker._CHUNK_BITS)
     with _plans_lock:
         kept = _plans.pop(key, None)
         if kept is not None:
             _plans[key] = kept  # now the most recently used
     if kept is not None:
-        return _sweep(f, props, kept[0])
-    checked, size = 0, 0
+        yield from kept[0]
+        return
+    size = 0
     frames: list[_Frame] | None = []
     for frame in _frames(bounds):
-        lanes, hit = _sweep(f, props, (frame,))
-        checked += lanes
-        if hit is not None:
-            return checked, hit
+        yield frame
         if frames is not None:
             size += frame.nbytes()
             if size <= _PLAN_BYTES:
@@ -242,7 +241,6 @@ def _canonical_sweep(f: Formula, bounds: Bounds) -> tuple[int, tuple[_Frame, int
             while total > _PLAN_BYTES:
                 oldest = next(iter(_plans))
                 total -= _plans.pop(oldest)[1]
-    return checked, None
 
 
 def _witness(
@@ -262,7 +260,7 @@ def _scan(f: Formula, g: Formula, bounds: Bounds, prune: bool) -> Verdict:
     """decide_bounded's scan: the sweeps evaluate g, f folded, and the
     witness is re-verified against f itself."""
     props, nprops = bounds.props, len(bounds.props)
-    checked, hit = _canonical_sweep(g, bounds)
+    checked, hit = _sweep(g, props, _plan(bounds))
     if hit is None:
         if not prune:
             checked = sum(
@@ -306,6 +304,11 @@ def decide_bounded(f: Formula, bounds: Bounds, prune: bool = False) -> Verdict:
     shape without a countermodel in closed form, so its verdict, witness
     and count are those of the full ordered scan (see the module
     docstring).
+
+    A formula that does not fold to a constant and is nested deeper than
+    the recursion limit allows raises RecursionError here, since the
+    column engine evaluates it by recursion; the CLI reports that as a
+    formula nested too deeply, with exit code 2.
     """
     # one program of f serves the atoms check and the fold
     entries, _, nodes = _program([f])
@@ -433,10 +436,11 @@ def fuzz_soundness(
     The instances of one schema on one model are evaluated as the lanes of
     one pass (see ModelEvaluator.first_failures), never built one by one.
     A trial draws every schema's substitutions first, into one hash-consed
-    pool whose equal subtrees are one object, and evaluates the whole pool
-    on the trial's model in one engine call, so each distinct subtree is
-    evaluated once for all schemas.  The violations, their order and the
-    report are those of checking each instance in turn.
+    pool whose equal subtrees are one object, and hands them all to
+    ModelEvaluator._failures, which evaluates the pool on the trial's
+    model in one engine call, so each distinct subtree is evaluated once
+    for all schemas.  The violations, their order and the report are
+    those of checking each instance in turn.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -452,19 +456,15 @@ def fuzz_soundness(
     schemas = [(schema_id, schema, sorted(metavariables(schema))) for schema_id, schema in schemas]
     for _ in range(trials):
         model = random_model(rng.getrandbits(64), bounds)
-        evaluator = ModelEvaluator(model)
-        # the trial's pool, schema by schema as first_failures reads it,
-        # evaluated on this model in one call; each schema then takes its
-        # share of the single-lane columns by position
+        # the trial's pool, schema by schema, one hash-consed dict of
+        # shared subtrees, evaluated on this model in one call
         interned: dict = {}
-        drawn = [
-            [{mv: draw(pool_depth, interned) for mv in mvs} for _ in range(instances_per_schema)]
-            for *_, mvs in schemas
+        jobs = [
+            (schema, mvs, [{mv: draw(pool_depth, interned) for mv in mvs} for _ in range(instances_per_schema)])
+            for _, schema, mvs in schemas
         ]
-        pool = [subst[mv] for (*_, mvs), substs in zip(schemas, drawn) for mv in mvs for subst in substs]
-        single, end = evaluator._columns(pool), 0
-        for (schema_id, schema, mvs), substs in zip(schemas, drawn):
-            start, end = end, end + len(mvs) * instances_per_schema
-            for j, point in evaluator.first_failures(schema, substs, single[start:end]):
+        failures = ModelEvaluator(model)._failures(jobs)
+        for (schema_id, *_), (*_, substs), found in zip(schemas, jobs, failures):
+            for j, point in found:
                 violations.append(FuzzViolation(model, point, schema_id, substs[j]))
     return FuzzReport(trials, trials * len(schemas) * instances_per_schema, tuple(violations))

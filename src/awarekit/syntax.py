@@ -122,11 +122,7 @@ class Formula(Record):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # a walk that passes _TREE_PAIRS pairs starts over and compares each
-        # pair once, so shared subtrees cost linear time, and formulas of
-        # the usual size skip the bookkeeping
-        equal = _same_trees(self, other, None)
-        return _same_trees(self, other, set()) if equal is None else equal
+        return _same_trees(self, other)
 
     def __hash__(self) -> int:
         try:
@@ -147,15 +143,11 @@ class Formula(Record):
         return self._hash
 
 
-_TREE_PAIRS = 10_000
-
-
-def _same_trees(f: Formula, g: Formula, seen: set | None) -> bool | None:
+def _same_trees(f: Formula, g: Formula) -> bool:
     """Whether two nodes of one class are equal trees, by an explicit-stack
-    walk over pairs of nodes.  With seen None the walk gives up, returning
-    None, past _TREE_PAIRS pairs; otherwise it records each pair in seen and
-    walks under it once."""
-    budget = _TREE_PAIRS
+    walk over pairs of nodes that walks under each pair once, so shared
+    subtrees cost linear time."""
+    seen = set()
     stack = [f, g]
     while stack:
         b = stack.pop()
@@ -167,11 +159,6 @@ def _same_trees(f: Formula, g: Formula, seen: set | None) -> bool | None:
             if x.__class__ is not y.__class__ or not isinstance(x, Formula):
                 if x != y:
                     return False
-            elif seen is None:
-                budget -= 1
-                if budget < 0:
-                    return None
-                stack += (x, y)
             elif (id(x), id(y)) not in seen:
                 seen.add((id(x), id(y)))
                 stack += (x, y)

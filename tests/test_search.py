@@ -601,7 +601,7 @@ class TestCanonicalFirstScan:
 
         f, bounds = parse(text), Bounds(3, 3, ("p",))
         frames = [frame.skeletons for frame in search._frames(bounds)]
-        hit = search._canonical_sweep(_fold_constants(f), bounds)[1]
+        hit = search._sweep(_fold_constants(f), bounds.props, search._plan(bounds))[1]
         clear_plans()
         enumerated, canonical = _counting_enumeration(monkeypatch)
         for _ in range(3):
@@ -644,7 +644,7 @@ class TestWitnessMaskSweep:
         from awarekit.model import _iter_skeletons_wa
 
         g, n = _fold_constants(f), len(bounds.props)
-        _, (frame, lane, _) = search._canonical_sweep(g, bounds)
+        _, (frame, lane, _) = search._sweep(g, bounds.props, search._plan(bounds))
         c, _ = frame.valuation(lane, n)
         _, hit = search._sweep(g, bounds.props, _pack(_iter_skeletons_wa(c.world_count, c.agent_count), n))
         return c, Countermodel(*search._witness(f, bounds.props, *hit))
@@ -869,6 +869,32 @@ class TestPlanReuse:
         plan = search._plans[_key(bounds)]
         assert decide_bounded(f, bounds) == v
         assert search._plans == {_key(bounds): plan}
+
+    def test_raising_partway_keeps_no_partial_plan(self, clear_plans, monkeypatch):
+        import gc
+
+        from awarekit import search
+
+        # an unbound metavariable raises on the bound's first frame
+        bounds = Bounds(2, 2, ("p",))
+        with pytest.raises(ValueError, match="metavariable PHI is unbound"):
+            decide_bounded(parse("PHI -> p"), bounds)
+        gc.collect()
+        assert search._plans == {}
+        # an engine that raises on the world-count-3 run, after the sweep
+        # has taken the frames of the first two
+        columns = search._Frame.columns
+
+        def failing(frame, roots, leaves, full):
+            if frame.world_count == 3:
+                raise RuntimeError("engine failure")
+            return columns(frame, roots, leaves, full)
+
+        monkeypatch.setattr(search._Frame, "columns", failing)
+        with pytest.raises(RuntimeError, match="engine failure"):
+            decide_bounded(parse("K p -> p"), Bounds(3, 3, ("p",)))
+        gc.collect()
+        assert search._plans == {}
 
     @pytest.mark.parametrize("over", ["one-bound-over", "total-over"])
     def test_cap(self, clear_plans, monkeypatch, over):
@@ -1270,10 +1296,10 @@ class TestPoolDraw:
 
 
 class TestFuzzMemo:
-    """fuzz_soundness evaluates a trial's pool on one lane in one engine
-    call and hands each schema its columns by position; no column may
-    reach a schema body but as its metavariables' lanes, and no call may
-    see another call's columns."""
+    """fuzz_soundness hands a trial's schemas to ModelEvaluator._failures,
+    which evaluates their pool on one lane in one engine call; no column
+    may reach a schema body but as its own metavariables' lanes, and no
+    call may see another call's columns."""
 
     def test_schema_atom_used_as_substitution(self):
         # p is an atom of the body, one lane per instance there, and a
@@ -1288,9 +1314,36 @@ class TestFuzzMemo:
                 for j, subst in enumerate(substs)
                 if (point := evaluator.first_failure(instantiate(schema, subst))) is not None
             ]
-            single = evaluator._columns([subst["PHI"] for subst in substs])
-            assert evaluator.first_failures(schema, substs, single) == want
+            assert evaluator._failures([(schema, ["PHI"], substs)]) == [want]
             assert evaluator.first_failures(schema, substs) == want
+
+    def test_jobs_in_one_call_equal_each_job_alone(self):
+        # two jobs of 3 and 5 lanes, one and two metavariables, that share
+        # a substitution node; each job must read its own columns
+        p, q, shared = parse("p"), parse("q"), parse("K (p -> R q)")
+        jobs = [
+            (parse("PHI -> K PHI"), ["PHI"], [{"PHI": shared}, {"PHI": p}, {"PHI": parse("~D q")}]),
+            (
+                parse("R PHI -> K PHI | PSI"),
+                ["PHI", "PSI"],
+                [
+                    {"PHI": q, "PSI": shared},
+                    {"PHI": p, "PSI": p},
+                    {"PHI": parse("~p"), "PSI": q},
+                    {"PHI": parse("D q"), "PSI": shared},
+                    {"PHI": p, "PSI": q},
+                ],
+            ),
+        ]
+        failed = 0
+        for seed in range(40):
+            evaluator = ModelEvaluator(random_model(seed, Bounds(3, 3, ("p", "q"))))
+            got = evaluator._failures(jobs)
+            assert got == [evaluator.first_failures(schema, substs) for schema, _, substs in jobs]
+            failed += all(got)
+        # both jobs find failures on some models, so a job given another
+        # job's columns shows
+        assert failed >= 5
 
     def test_fuzz_with_concrete_atoms_in_schemas(self):
         schemas = _schemas("PHI -> K p", "p & PHI -> R (p & PHI)", "K (PHI | q) -> K p")

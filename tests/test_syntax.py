@@ -364,11 +364,17 @@ class TestNodeEquality:
         if f == g:
             assert hash(f) == hash(g)
         if type(f) is type(g):
-            # the walk that compares each pair once, which == runs past
-            # _TREE_PAIRS pairs
-            assert _same_trees(f, g, set()) == (shape(f) == shape(g))
+            assert _same_trees(f, g) == (shape(f) == shape(g))
         for node in subformula_closure(f):
             assert (node == f) == (shape(node) == shape(f))
+
+    def test_shared_subtree_against_distinct_ones(self):
+        # one node at two places on one side, two nodes on the other: the
+        # first equal to it, the second not
+        kp = parse("K p")
+        f, g = And(kp, kp), And(parse("K p"), parse("K q"))
+        assert f != g and g != f
+        assert And(kp, kp) == And(parse("K p"), parse("K p"))
 
     def test_other_types_are_not_implemented(self):
         assert P.__eq__("p") is NotImplemented and P != "p"

@@ -135,6 +135,32 @@ MUTANTS = [
         SEARCH_TESTS,
     ),
     (
+        "plan-kept-in-finally",
+        "the keep step runs in a finally, so a sweep stopped at a witness keeps its partial frames",
+        "search.py",
+        "    for frame in _frames(bounds):\n"
+        "        yield frame\n"
+        "        if frames is not None:\n"
+        "            size += frame.nbytes()\n"
+        "            if size <= _PLAN_BYTES:\n"
+        "                frames.append(frame)\n"
+        "            else:\n"
+        "                frames = None  # too many bytes to keep: collect no more\n"
+        "    if frames is not None:\n",
+        "    try:\n"
+        "        for frame in _frames(bounds):\n"
+        "            yield frame\n"
+        "            if frames is not None:\n"
+        "                size += frame.nbytes()\n"
+        "                if size <= _PLAN_BYTES:\n"
+        "                    frames.append(frame)\n"
+        "                else:\n"
+        "                    frames = None\n"
+        "    finally:\n"
+        "      if frames is not None:\n",
+        SEARCH_TESTS,
+    ),
+    (
         "witness-shape-of-first-skeleton",
         "a plain decision sweeps in full order the shape of the failing frame's first skeleton",
         "search.py",
@@ -242,8 +268,8 @@ MUTANTS = [
         "body-atoms-one-lane",
         "the schema body reads each atom's single-lane column, lane 0 alone",
         "checker.py",
-        "        leaves = {p: [full if b else 0 for b in col] for p, col in self._atoms.items()}",
-        "        leaves = dict(self._atoms)",
+        "            leaves = {p: [full if b else 0 for b in col] for p, col in self._atoms.items()}",
+        "            leaves = dict(self._atoms)",
         CHECKER_TESTS + SEARCH_TESTS,
     ),
     (
@@ -258,13 +284,18 @@ MUTANTS = [
         "fuzz-call-per-schema",
         "fuzz evaluates each schema's substitutions in an engine call of their own",
         "search.py",
-        "        single, end = evaluator._columns(pool), 0\n"
-        "        for (schema_id, schema, mvs), substs in zip(schemas, drawn):\n"
-        "            start, end = end, end + len(mvs) * instances_per_schema\n"
-        "            for j, point in evaluator.first_failures(schema, substs, single[start:end]):\n",
-        "        for (schema_id, schema, mvs), substs in zip(schemas, drawn):\n"
-        "            for j, point in evaluator.first_failures(schema, substs):\n",
+        "        failures = ModelEvaluator(model)._failures(jobs)\n",
+        "        evaluator = ModelEvaluator(model)\n"
+        "        failures = [evaluator._failures([job])[0] for job in jobs]\n",
         SEARCH_TESTS,
+    ),
+    (
+        "failures-previous-job",
+        "_failures gives each job the substitution columns of the job before it",
+        "checker.py",
+        "                at = starts[k] + i * n\n",
+        "                at = starts[k - 1] + i * n\n",
+        CHECKER_TESTS + SEARCH_TESTS,
     ),
     (
         "tie-check-skipped",
@@ -320,6 +351,16 @@ MUTANTS = [
         "syntax.py",
         "            out = (TRUE if sub[0] is FALSE else FALSE) if kind is Not else sub[0]",
         "            out = TRUE if sub[0] is FALSE else FALSE",
+        SYNTAX_TESTS,
+    ),
+    (
+        "eq-seen-by-left-id",
+        "the equality walk marks a pair of nodes as seen by the left node's id alone",
+        "syntax.py",
+        "            elif (id(x), id(y)) not in seen:\n"
+        "                seen.add((id(x), id(y)))\n",
+        "            elif id(x) not in seen:\n"
+        "                seen.add(id(x))\n",
         SYNTAX_TESTS,
     ),
     (
